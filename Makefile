@@ -34,13 +34,15 @@ sanitize-test:
 
 # cross-engine differential harness: every registered engine must
 # agree with the reference (golden fixtures, worker/shard invariance,
-# zero-cost exactness), with the runtime sanitizer enabled
+# zero-cost exactness, the canonical forest builder's exact routes),
+# with the runtime sanitizer enabled
 test-engines:
 	REPRO_SANITIZE=1 $(PYTHON) -m pytest -x -q \
 		tests/test_engine_differential.py \
 		tests/test_golden_engines.py \
 		tests/test_engine_parallel.py \
-		tests/test_engine_registry.py
+		tests/test_engine_registry.py \
+		tests/test_canonical_forest.py
 
 # timed-substrate differential suite: async bit-identity, centralized
 # parity under every delay/MRAI setting, determinism, fault sequences,

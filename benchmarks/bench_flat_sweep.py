@@ -32,8 +32,9 @@ exit) if any regresses:
    counts.  This is the ``make bench-flat-parallel`` CI gate.
 
 5. **Preset scaling** (phase ``presets``).  Every scaling preset is
-   priced end-to-end on the array-native path (scipy-forest demand +
-   inline sweep), recording wall-clock, peak tracemalloc, and peak RSS,
+   priced end-to-end on the array-native path (demand read straight
+   from the canonical forest builder's arrays + inline sweep),
+   recording wall-clock, peak tracemalloc, and peak RSS,
    each gated against a bound derived from the preset's own demand
    accounting.  By default the phase covers n <= 2000;
    ``--full-presets`` extends it to n = 5000 and n = 10000 (the
@@ -339,22 +340,23 @@ def run_parallel_phase(quick: bool = False) -> Dict[str, Any]:
 def run_presets_phase(sizes: Sequence[int]) -> Dict[str, Any]:
     """Price every scaling preset end-to-end on the array-native path.
 
-    Demand comes from the scipy predecessor forest (the canonical
-    tie-broken solve is infeasible at n >= 5000), the sweep runs
-    inline, and nothing materializes per-entry Python objects -- this
-    is the large-instance configuration the ROADMAP's internet-scale
-    item needs.  Peak tracemalloc is gated against a bound derived from
+    Demand comes straight from the canonical forest builder's
+    per-block parent/cost arrays -- exact canonical routes, with no
+    ``RouteTree`` objects -- the sweep runs inline, and nothing
+    materializes per-entry Python objects; this is the large-instance
+    configuration the ROADMAP's internet-scale item needs.  Peak
+    tracemalloc is gated against a bound derived from
     the preset's own demand accounting; peak RSS is recorded (run in
     ascending size order, so the cumulative high-water mark is
     attributable to the largest completed preset).
     """
     from repro.routing.flatgraph import build_flat_graph
     from repro.routing.flatsweep import (
-        _FOREST_BLOCK,
         FlatSweepStats,
-        demand_from_forest,
+        canonical_demand,
         sweep_demand,
     )
+    from repro.routing.forest import _BLOCK_ELEMENTS
 
     presets = [
         f"{family}-{n}"
@@ -370,7 +372,7 @@ def run_presets_phase(sizes: Sequence[int]) -> Dict[str, Any]:
         stats = FlatSweepStats()
         tracemalloc.start()
         demand_start = time.perf_counter()
-        demand = demand_from_forest(graph, flat)
+        demand = canonical_demand(graph, flat)
         demand_seconds = time.perf_counter() - demand_start
         sweep_start = time.perf_counter()
         arrays = sweep_demand(demand, stats=stats)
@@ -378,12 +380,15 @@ def run_presets_phase(sizes: Sequence[int]) -> Dict[str, Any]:
         _current, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
 
-        # Demand-derived bound, no dict assembly term: the forest blocks
-        # (dist + predecessors + flattened parents), the demand arrays
-        # (two orders plus pre-gathered solve columns, ~56B/entry with
-        # concatenation transients), and a few live distance blocks.
+        # Demand-derived bound, no dict assembly term: one forest block
+        # (per-edge candidate arrays, ~17B per directed-edge slot; the
+        # distance, parent, cost and hop rows plus the level-wise
+        # accumulation transients, ~80B per node slot), the demand
+        # arrays (two orders plus pre-gathered solve columns, ~56B/entry
+        # with concatenation transients), and a few live distance blocks.
         block_bytes = 8 * n * stats.max_block_rows
-        forest_bytes = 24 * n * _FOREST_BLOCK
+        forest_rows = max(1, _BLOCK_ELEMENTS // (2 * graph.num_edges))
+        forest_bytes = forest_rows * (17 * 2 * graph.num_edges + 80 * n)
         demand_bound = (
             64_000_000
             + 4 * block_bytes
@@ -405,7 +410,7 @@ def run_presets_phase(sizes: Sequence[int]) -> Dict[str, Any]:
         del demand, arrays, flat, graph
     return {
         "sizes": sorted(sizes),
-        "demand": "scipy predecessor forest (canonical ties infeasible here)",
+        "demand": "canonical forest arrays (exact canonical routes)",
         "rows": rows,
         "note": (
             "timed under tracemalloc; rss_peak_bytes is the process "

@@ -176,31 +176,38 @@ def check_lcp(
     destination: NodeId,
     path: PathTuple,
     cost: Cost,
+    reference: Optional["RouteTree"] = None,
 ) -> None:
     """Spot-check one selected route against a fresh Dijkstra.
 
     Verifies (a) the claimed cost is the path's transit cost, and
     (b) cost and canonical tie-break agree with an independently
-    recomputed route tree.
+    recomputed route tree.  *reference* passes that tree in (it must
+    be a fresh :func:`~repro.routing.dijkstra.route_tree` toward
+    *destination*), so checking every source of one destination costs
+    one Dijkstra instead of one per source.
     """
     _count()
     from repro.routing.dijkstra import route_tree
 
     check_path(path, has_edge=graph.has_edge, source=source, destination=destination)
     actual = graph.path_cost(path) if len(path) >= 2 else 0.0
-    if abs(actual - cost) > EPSILON:
+    # Relative as well as absolute: path_cost sums source-first, the
+    # claimed cost destination-first, and at large magnitudes the two
+    # orders round apart by far more than EPSILON.
+    if abs(actual - cost) > max(EPSILON, EPSILON * abs(actual)):
         _fail(
             "lcp",
             f"claimed cost {cost} of path {path} differs from its "
             f"recomputed transit cost {actual}",
         )
-    tree = route_tree(graph, destination)
+    tree = reference if reference is not None else route_tree(graph, destination)
     try:
         optimal_cost = tree.cost(source)
         optimal_path = tree.path(source)
     except UnreachableError:
         _fail("lcp", f"no route from {source} to {destination} exists at all")
-    if cost > optimal_cost + EPSILON:
+    if cost > optimal_cost + max(EPSILON, EPSILON * abs(optimal_cost)):
         _fail(
             "lcp",
             f"selected path {path} (cost {cost}) is not lowest-cost: "

@@ -32,7 +32,9 @@ The flat engine's demand-restricted sweep is accounted by
 rows computed, stored CSR entries masked in place) plus
 ``routing.flat.{workers,shards}`` (the sweep's process/shard layout;
 1/1 for the inline ``flat`` engine, the pool geometry for
-``flat-parallel``).
+``flat-parallel``).  Their canonical route build is accounted by
+``routing.forest.{blocks,fallbacks}`` (batched scipy solves, and
+destinations whose ties forced the exact reference kernel).
 
 Span names (``obs.span``) cover the end-to-end pipeline:
 ``bgp.stage``, ``bgp.sync.run``, ``bgp.async.run``, ``bgp.timed.run``,
@@ -84,6 +86,13 @@ FLAT_MASKED = "routing.flat.masked"
 # shared-memory pool geometry under the flat-parallel engine).
 FLAT_WORKERS = "routing.flat.workers"
 FLAT_SHARDS = "routing.flat.shards"
+
+# -- canonical forest build (flat engines' all_pairs) --------------------
+# blocks: batched scipy distance solves; fallbacks: destinations whose
+# ties (or near-ties) the distances could not resolve, rebuilt by the
+# reference Dijkstra kernel.
+FOREST_BLOCKS = "routing.forest.blocks"
+FOREST_FALLBACKS = "routing.forest.fallbacks"
 
 # -- incremental-engine cache accounting -------------------------------
 # hits: trees served from cache; misses: trees computed from scratch;

@@ -127,6 +127,13 @@ class TraceSummary:
     flat_shards: int = 0
     #: whether the trace recorded the flat sweep at all.
     flat_seen: bool = False
+    #: ``routing.forest.*`` totals (flat engines' canonical route
+    #: build): batched scipy solves, and destinations whose ties forced
+    #: the exact reference kernel.
+    forest_blocks: int = 0
+    forest_fallbacks: int = 0
+    #: whether the trace recorded a forest build at all.
+    forest_seen: bool = False
     #: ``bgp.timed.*`` aggregates (discrete-event substrate): final
     #: virtual clock / convergence-time gauges, loss and MRAI counters.
     timed_clock: float = 0.0
@@ -235,6 +242,11 @@ def summarize_events(events: Iterable[Mapping[str, Any]]) -> TraceSummary:
     summary.flat_seen = any(
         name.startswith("routing.flat.") for name, _labels in summary.counters
     )
+    summary.forest_blocks = int(summary.counter_total(names.FOREST_BLOCKS))
+    summary.forest_fallbacks = int(summary.counter_total(names.FOREST_FALLBACKS))
+    summary.forest_seen = any(
+        name.startswith("routing.forest.") for name, _labels in summary.counters
+    )
     summary.timed_clock = float(
         summary.gauges.get((names.TIMED_CLOCK, ()), 0.0)
     )
@@ -305,6 +317,9 @@ def summary_tables(summary: TraceSummary, title: Optional[str] = None) -> List[A
         measures.add_row("flat sweep entries masked", summary.flat_masked)
         measures.add_row("flat sweep workers", summary.flat_workers)
         measures.add_row("flat sweep shards", summary.flat_shards)
+    if summary.forest_seen:
+        measures.add_row("canonical forest blocks", summary.forest_blocks)
+        measures.add_row("canonical forest fallbacks (ties)", summary.forest_fallbacks)
     if summary.timed_seen:
         measures.add_row("virtual clock at drain (s)", summary.timed_clock)
         measures.add_row("virtual convergence time (s)", summary.timed_convergence_time)

@@ -17,6 +17,8 @@ Key modules:
 * :mod:`repro.routing.dijkstra` -- destination-rooted generalized
   Dijkstra producing a :class:`~repro.routing.dijkstra.RouteTree`.
 * :mod:`repro.routing.allpairs` -- all-pairs routes (n trees).
+* :mod:`repro.routing.forest` -- the same n trees, bit-identical, built
+  in batches from scipy distances (the ``flat`` engines' routes).
 * :mod:`repro.routing.avoiding` -- lowest-cost k-avoiding paths, the
   second ingredient of the VCG price.
 * :mod:`repro.routing.engines` -- the unified engine registry

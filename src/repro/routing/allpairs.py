@@ -143,10 +143,17 @@ def _all_pairs_reference(graph: ASGraph) -> AllPairsRoutes:
 
 
 def _sanitize_routes(graph: ASGraph, routes: AllPairsRoutes) -> None:
-    """Re-verify every selected route (sanitizer on, or forced)."""
+    """Re-verify every selected route (sanitizer on, or forced) against
+    one independently recomputed tree per destination."""
     for destination in sorted(routes.trees):
         tree = routes.trees[destination]
+        reference = route_tree(graph, destination)
         for source in tree.sources():
             sanitize_checks.check_lcp(
-                graph, source, destination, tree.path(source), tree.cost(source)
+                graph,
+                source,
+                destination,
+                tree.path(source),
+                tree.cost(source),
+                reference=reference,
             )

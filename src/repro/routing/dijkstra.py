@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
 
 from repro.exceptions import UnreachableError
 from repro.graphs.asgraph import ASGraph, GraphLike
-from repro.routing.tiebreak import RouteKey, route_key
 from repro.types import Cost, NodeId, PathTuple
 
 
@@ -103,43 +102,61 @@ def route_tree(graph: GraphLike, destination: NodeId) -> RouteTree:
     bit-identical to BGP's hop-by-hop accumulation.  Unreachable nodes
     simply have no entry (queries raise :class:`UnreachableError`).
 
+    The canonical ``(cost, hops, path)`` key is carried as integer
+    labels, never as path tuples.  Every candidate for ``v`` starts with
+    ``v`` itself, so two candidates for ``v`` differ first at the next
+    hop, and by suffix consistency (:mod:`repro.routing.tiebreak`) the
+    rest of either path is the finalized route of that next hop:
+    ``(cost, hops, parent)`` ranks candidates exactly as the full key
+    does.  Across nodes the same argument gives ``(cost, hops, node)``
+    as the heap order, so nodes finalize in exactly the order the
+    path-keyed search finalized them.  A node is never relaxed back
+    into its own path, because every node on that path finalized first
+    with a smaller label.  Paths are spelled out once, from the parents,
+    after the search.
+
     *graph* may be a real :class:`ASGraph` or a copy-free
     :class:`~repro.graphs.asgraph.MaskedGraphView` (the k-avoiding
     sweep's representation of ``G - k``); only read access is used.
     """
     if destination not in graph:
         raise UnreachableError(destination, destination)
-    best: Dict[NodeId, RouteKey] = {destination: route_key(0.0, (destination,))}
-    finalized: Dict[NodeId, RouteKey] = {}
-    heap = [(best[destination], destination)]
+    # node -> (cost, hops, parent) of its best candidate so far.  Costs
+    # are non-negative, so a finalized node's label already beats every
+    # later candidate; no separate finalized check is needed per edge.
+    best: Dict[NodeId, Tuple[Cost, int, NodeId]] = {destination: (0.0, 0, destination)}
+    finalized: Set[NodeId] = set()
+    order: List[NodeId] = []
+    heap: List[Tuple[Cost, int, NodeId]] = [(0.0, 0, destination)]
+    push, pop = heapq.heappush, heapq.heappop
+    neighbors_of, cost_of, label_of = graph.neighbors, graph.cost, best.get
     while heap:
-        key, node = heapq.heappop(heap)
+        # A node can sit in the heap more than once; its first pop
+        # carries its best (cost, hops), and ``best`` its best parent.
+        cost, hops, node = pop(heap)
         if node in finalized:
             continue
-        if key != best.get(node):
-            continue  # stale heap entry
-        finalized[node] = key
-        cost, _hops, path = key
-        hop_cost = 0.0 if node == destination else graph.cost(node)
-        for neighbor in graph.neighbors(node):
-            if neighbor in finalized:
-                continue
-            if neighbor in path:
-                continue  # keep candidates simple
-            candidate = route_key(cost + hop_cost, (neighbor,) + path)
-            incumbent = best.get(neighbor)
+        finalized.add(node)
+        order.append(node)
+        hop_cost = 0.0 if node == destination else cost_of(node)
+        candidate = (cost + hop_cost, hops + 1, node)
+        for neighbor in neighbors_of(node):
+            incumbent = label_of(neighbor)
             if incumbent is None or candidate < incumbent:
                 best[neighbor] = candidate
-                heapq.heappush(heap, (candidate, neighbor))
+                push(heap, (candidate[0], candidate[1], neighbor))
 
     parents: Dict[NodeId, NodeId] = {}
     paths: Dict[NodeId, PathTuple] = {}
     costs: Dict[NodeId, Cost] = {}
-    for node, (cost, _hops, path) in finalized.items():
-        if node == destination:
-            continue
-        parents[node] = path[1]
-        paths[node] = path
+    root: PathTuple = (destination,)
+    for node in order[1:]:
+        cost, _hops, parent = best[node]
+        parents[node] = parent
+        # Only the destination is missing from ``paths``.  (No deleted
+        # entry either: callers copy these dicts, and CPython copies a
+        # dict that never had a deletion much faster.)
+        paths[node] = (node,) + paths.get(parent, root)
         costs[node] = cost
     return RouteTree(
         destination=destination,

@@ -9,8 +9,8 @@ name          backend                                     carries paths
 ============= =========================================== ==============
 reference     serial pure Python (semantics-defining)     yes
 scipy         vectorized ``scipy.sparse.csgraph``         no (cost-only)
-flat          flat-CSR demand-restricted price sweep      no (cost-only)
-flat-parallel flat sweep sharded over shared memory       no (cost-only)
+flat          canonical forest + flat-CSR price sweep     yes
+flat-parallel flat sweep sharded over shared memory       yes
 parallel      multiprocessing shards of destinations      yes
 incremental   epoch-cached warm-start (stateful)          yes
 ============= =========================================== ==============

@@ -11,7 +11,8 @@ Capability model
 ----------------
 ``carries_paths`` distinguishes two engine classes:
 
-* **path engines** (``reference``, ``parallel``) materialize full
+* **path engines** (``reference``, ``parallel``, ``incremental``,
+  ``flat``, ``flat-parallel``) materialize full
   canonical tie-broken :class:`~repro.routing.allpairs.AllPairsRoutes`
   and must match the reference *exactly* -- same paths, bit-identical
   costs and prices;
@@ -99,7 +100,7 @@ class Engine(ABC):
         """Backend hook for :meth:`all_pairs`; cost-only default."""
         raise EngineError(
             f"engine {self.name!r} is cost-only and does not carry paths; "
-            "use a path engine (reference, parallel) for all_pairs"
+            "use a path engine (reference, flat, parallel) for all_pairs"
         )
 
     def price_table(

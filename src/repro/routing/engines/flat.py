@@ -1,10 +1,14 @@
 """The ``flat`` engine: batched, demand-restricted, memory-bounded prices.
 
-This is the scaling backend for the Theorem 1 price sweep.  Like the
-``scipy`` engine it is cost-only (path *selection* still comes from the
-canonical tie-broken routes -- prices are defined relative to them),
-but the avoiding sweep differs in three ways that move the feasible
-instance size from hundreds of nodes past ten thousand:
+This is the scaling backend for the Theorem 1 price sweep.  It is a
+path engine: ``all_pairs`` returns the canonical tie-broken routes --
+prices are defined relative to them -- bit-identical to the reference
+(same paths, same cost floats, same dict order), but built in batches
+from scipy distances by :mod:`repro.routing.forest`, with destinations
+whose ties the distances cannot resolve handed to the reference
+kernel.  The avoiding sweep differs from the reference in three ways
+that move the feasible instance size from hundreds of nodes past ten
+thousand:
 
 1. **One-shot CSR, O(deg(k)) masking.**  The directed
    ``w(u -> v) = c_v`` reduction is built once per graph epoch as flat
@@ -49,8 +53,10 @@ Dijkstra calls, one per distinct transit node), ``routing.flat.rows``
 (distance rows actually computed -- the demand-restriction win),
 ``routing.flat.masked`` (stored entries masked across all solves), and
 ``routing.flat.workers`` / ``routing.flat.shards`` (the sweep's
-process/shard layout; 1/1 for this engine) alongside the standard
-engine span/counter surface.
+process/shard layout; 1/1 for this engine), and its route build counts
+``routing.forest.blocks`` (batched scipy solves) and
+``routing.forest.fallbacks`` (destinations whose ties forced the
+reference kernel), alongside the standard engine span/counter surface.
 """
 
 from __future__ import annotations
@@ -72,6 +78,7 @@ from repro.routing.flatsweep import (
     FlatSweepStats,
     flat_price_arrays,
 )
+from repro.routing.forest import ForestStats, canonical_routes
 from repro.types import NodeId
 
 if TYPE_CHECKING:  # pragma: no cover - import-light at runtime
@@ -100,14 +107,34 @@ def flat_price_rows(
 
 
 class FlatEngine(Engine):
-    """Flat-CSR cost-only engine for large price tables."""
+    """Flat-CSR path engine for large price tables."""
 
     name: ClassVar[str] = "flat"
-    carries_paths: ClassVar[bool] = False
+    carries_paths: ClassVar[bool] = True
 
-    # The flat sweep produces its own counters, so this engine manages
-    # the observer explicitly (same signature as the reference engine,
-    # per the RPR009 contract) instead of using the base-class wrapper.
+    # The forest build and the flat sweep produce their own counters, so
+    # this engine manages the observer explicitly (same signatures as
+    # the reference engine, per the RPR009 contract) instead of using
+    # the base-class wrappers.
+    def all_pairs(
+        self,
+        graph: ASGraph,
+        *,
+        obs: Optional[obs_mod.Obs] = None,
+    ) -> "AllPairsRoutes":
+        observer = obs_mod.active(obs)
+        if observer is None:
+            return self._all_pairs(graph)
+        stats = ForestStats()
+        with observer.span(metric_names.SPAN_ENGINE_ALL_PAIRS, engine=self.name):
+            routes = canonical_routes(graph, stats=stats)
+        observer.count(metric_names.ROUTE_TREES, len(routes.trees), engine=self.name)
+        observer.count(metric_names.FOREST_BLOCKS, stats.blocks, engine=self.name)
+        observer.count(
+            metric_names.FOREST_FALLBACKS, stats.fallbacks, engine=self.name
+        )
+        return routes
+
     def price_table(
         self,
         graph: ASGraph,
@@ -120,7 +147,7 @@ class FlatEngine(Engine):
             return self._price_table(graph, routes=routes)
         stats = FlatSweepStats()
         with observer.span(metric_names.SPAN_ENGINE_PRICE_TABLE, engine=self.name):
-            table = self._build_table(graph, routes, stats)
+            table = self._build_table(graph, routes, stats, obs=observer)
         observer.count(metric_names.PRICE_ROWS, len(table.rows), engine=self.name)
         observer.count(metric_names.FLAT_SOLVES, stats.solves, engine=self.name)
         observer.count(metric_names.FLAT_ROWS, stats.rows, engine=self.name)
@@ -128,6 +155,9 @@ class FlatEngine(Engine):
         observer.count(metric_names.FLAT_WORKERS, stats.workers, engine=self.name)
         observer.count(metric_names.FLAT_SHARDS, stats.shards, engine=self.name)
         return table
+
+    def _all_pairs(self, graph: ASGraph) -> "AllPairsRoutes":
+        return canonical_routes(graph)
 
     def _price_table(
         self,
@@ -151,11 +181,15 @@ class FlatEngine(Engine):
         graph: ASGraph,
         routes: Optional["AllPairsRoutes"],
         stats: FlatSweepStats,
+        obs: Optional[obs_mod.Obs] = None,
     ) -> "PriceTable":
         from repro.mechanism.vcg import PriceTable
         from repro.routing.allpairs import all_pairs_lcp
 
-        routes = routes if routes is not None else all_pairs_lcp(graph)
+        # Routes enter through all_pairs_lcp, so the sanitizer re-checks
+        # them exactly as it checks any other engine's.
+        if routes is None:
+            routes = all_pairs_lcp(graph, engine=self, obs=obs)
         rows = self._price_arrays(graph, routes, stats).to_rows()
         table = PriceTable(routes=routes, rows=rows)
         if sanitize.enabled():

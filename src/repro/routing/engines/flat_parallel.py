@@ -44,7 +44,7 @@ __all__ = ["FlatParallelEngine"]
 
 
 class FlatParallelEngine(FlatEngine):
-    """Sharded flat-CSR cost-only engine over shared-memory workers.
+    """Sharded flat-CSR path engine over shared-memory workers.
 
     Parameters
     ----------
@@ -59,7 +59,6 @@ class FlatParallelEngine(FlatEngine):
     """
 
     name: ClassVar[str] = "flat-parallel"
-    carries_paths: ClassVar[bool] = False
 
     def __init__(
         self, workers: Optional[int] = None, shards_per_worker: int = 4

@@ -4,12 +4,14 @@ This module is the shared core under the ``flat`` and ``flat-parallel``
 engines.  It owns the three scaling moves that take the Theorem 1 price
 sweep past n = 10,000:
 
-1. **Vectorized inversion.**  The canonical routes (or a scipy
-   predecessor forest, for instances too large to tie-break
-   canonically) are flattened into per-transit-node demand by numpy
-   path-unrolling over dense parent arrays
-   (:func:`demand_from_routes` / :func:`demand_from_forest`) -- no
-   per-(source, destination) Python iteration.  The resulting
+1. **Vectorized inversion.**  The canonical routes -- given as
+   :class:`~repro.routing.allpairs.AllPairsRoutes`, or read straight
+   from the canonical forest builder's per-block parent/cost arrays
+   (:mod:`repro.routing.forest`) when no routes are passed -- are
+   flattened into per-transit-node demand by numpy path-unrolling over
+   dense parent arrays (:func:`demand_from_routes` /
+   :func:`canonical_demand`, one shared inversion) -- no per-(source,
+   destination) Python iteration.  The resulting
    :class:`FlatDemand` keeps every demanded ``(i, j, k)`` entry in the
    reference engine's scan order (destination ascending, source
    ascending, transit in path order), so an entry's position *is* its
@@ -51,6 +53,8 @@ from multiprocessing import resource_tracker, shared_memory
 from typing import (
     TYPE_CHECKING,
     Dict,
+    Iterable,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -61,13 +65,13 @@ import numpy as np
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from repro.exceptions import (
-    DisconnectedGraphError,
     EngineError,
     MechanismError,
     NotBiconnectedError,
 )
 from repro.graphs.asgraph import ASGraph
 from repro.routing.flatgraph import FlatGraph, build_flat_graph
+from repro.routing.forest import canonical_forest, densify_tree
 from repro.types import Cost, NodeId
 
 if TYPE_CHECKING:  # pragma: no cover - import-light at runtime
@@ -78,7 +82,7 @@ __all__ = [
     "FlatDemand",
     "FlatPriceArrays",
     "FlatSweepStats",
-    "demand_from_forest",
+    "canonical_demand",
     "demand_from_routes",
     "flat_price_arrays",
     "flat_sweep_sharded",
@@ -90,9 +94,9 @@ __all__ = [
 #: reference sweep's literal so both paths trip on the same values.
 _NEGATIVE_PRICE_EPS = -1e-9
 
-#: Destinations per scipy Dijkstra batch in :func:`demand_from_forest`;
-#: bounds the live distance/predecessor blocks to O(block * n).
-_FOREST_BLOCK = 256
+#: Dense parent/cost slots per block when :func:`demand_from_routes`
+#: densifies route trees: ``_ROUTE_BLOCK_SLOTS // n`` destinations each.
+_ROUTE_BLOCK_SLOTS = 1 << 16
 
 
 @dataclass
@@ -324,61 +328,36 @@ def _finalize_demand(
     )
 
 
-def demand_from_routes(
-    graph: ASGraph,
-    routes: "AllPairsRoutes",
-    flat: Optional[FlatGraph] = None,
-) -> FlatDemand:
-    """Invert the canonical routes into per-transit-node demand.
+#: One block of canonical trees: dense destination ids ``(B,)``, next
+#: hops ``(B, n)`` (``-1`` at each root) and transit costs ``(B, n)``.
+_ForestRows = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
-    Per destination, the route tree's parent relation is densified into
-    one parent array and unrolled with :func:`_unroll_parents`; the
-    only remaining Python-level work is two ``fromiter`` scans per
-    tree.  Destinations are visited in ``graph.nodes`` order and
-    sources come out in ascending dense order, which is exactly the
-    reference sweep's scan order -- entry positions are reference
-    sequence numbers.
+
+def _demand_from_blocks(flat: FlatGraph, blocks: Iterable[_ForestRows]) -> FlatDemand:
+    """Invert blocks of canonical trees into per-transit-node demand.
+
+    Each block is flattened into one forest -- row ``b``'s slots live
+    at ``[b * n, (b + 1) * n)`` with its parent pointers offset to
+    match -- and unrolled with :func:`_unroll_parents`.  Blocks arrive
+    in ascending destination order and flattened positions ascend
+    (destination, source), which is exactly the reference sweep's scan
+    order: entry positions are reference sequence numbers.
     """
-    flat = flat if flat is not None else build_flat_graph(graph)
     n = flat.num_nodes
-    node_ids = flat.node_ids
     src_parts: List[np.ndarray] = []
     dst_parts: List[np.ndarray] = []
     lcp_parts: List[np.ndarray] = []
     width_parts: List[np.ndarray] = []
     entry_parts: List[np.ndarray] = []
-    for destination in graph.nodes:
-        tree = routes.tree(destination)
-        parents = tree.parents
-        if not parents:
-            continue
-        count = len(parents)
-        children = np.fromiter(parents.keys(), dtype=np.int64, count=count)
-        hops = np.fromiter(parents.values(), dtype=np.int64, count=count)
-        parent = np.full(n, -1, dtype=np.int64)
-        parent[np.searchsorted(node_ids, children)] = np.searchsorted(
-            node_ids, hops
-        )
-        # The tree's cost labels, densified alongside the parents.  The
-        # private dict is read directly: one fromiter per tree instead
-        # of n method calls per destination.
-        cost_labels = tree._costs
-        label_nodes = np.fromiter(
-            cost_labels.keys(), dtype=np.int64, count=len(cost_labels)
-        )
-        label_costs = np.fromiter(
-            cost_labels.values(), dtype=np.float64, count=len(cost_labels)
-        )
-        dense_cost = np.full(n, np.nan, dtype=np.float64)
-        dense_cost[np.searchsorted(node_ids, label_nodes)] = label_costs
-        sources, widths, entries = _unroll_parents(parent)
-        src_parts.append(sources.astype(np.int32))
-        dst_parts.append(
-            np.full(sources.shape[0], flat.index[destination], dtype=np.int32)
-        )
-        lcp_parts.append(dense_cost[sources])
+    for destinations, parent, cost in blocks:
+        base = (np.arange(destinations.shape[0], dtype=np.int64) * n)[:, np.newaxis]
+        forest = np.where(parent >= 0, parent + base, -1).ravel()
+        sources, widths, entries = _unroll_parents(forest)
+        src_parts.append((sources % n).astype(np.int32))
+        dst_parts.append(destinations[sources // n].astype(np.int32))
+        lcp_parts.append(cost.ravel()[sources])
         width_parts.append(widths)
-        entry_parts.append(entries.astype(np.int32))
+        entry_parts.append((entries % n).astype(np.int32))
     return _finalize_demand(
         flat,
         _concat(src_parts, np.int32),
@@ -389,86 +368,56 @@ def demand_from_routes(
     )
 
 
-def demand_from_forest(
+def demand_from_routes(
+    graph: ASGraph,
+    routes: "AllPairsRoutes",
+    flat: Optional[FlatGraph] = None,
+) -> FlatDemand:
+    """Invert the canonical routes into per-transit-node demand.
+
+    Route trees are densified a block of destinations at a time
+    (:func:`repro.routing.forest.densify_tree`, the only Python-level
+    work) and handed to the same inversion :func:`canonical_demand`
+    uses.
+    """
+    flat = flat if flat is not None else build_flat_graph(graph)
+    return _demand_from_blocks(flat, _route_blocks(routes, flat))
+
+
+def _route_blocks(routes: "AllPairsRoutes", flat: FlatGraph) -> Iterator[_ForestRows]:
+    n = flat.num_nodes
+    node_ids = flat.node_ids
+    size = max(1, _ROUTE_BLOCK_SLOTS // max(1, n))
+    for start in range(0, n, size):
+        destinations = np.arange(start, min(start + size, n), dtype=np.int64)
+        parent = np.full((destinations.shape[0], n), -1, dtype=np.int64)
+        cost = np.zeros((destinations.shape[0], n), dtype=np.float64)
+        for row, destination in enumerate(node_ids[destinations].tolist()):
+            densify_tree(routes.tree(destination), node_ids, parent[row], cost[row])
+        yield destinations, parent, cost
+
+
+def canonical_demand(
     graph: ASGraph,
     flat: Optional[FlatGraph] = None,
-    *,
-    block_size: int = _FOREST_BLOCK,
 ) -> FlatDemand:
-    """Per-transit-node demand from a scipy shortest-path forest.
+    """Per-transit-node demand straight from the canonical forest.
 
-    For instances too large to tie-break canonically (the 10k+ scaling
-    presets), the route trees are taken from ``csgraph.dijkstra``
-    predecessors instead of :func:`~repro.routing.allpairs.all_pairs_lcp`:
-    running on the *transposed* reduction from destination ``j`` makes
-    ``dist(j -> i)`` equal ``dist(i -> j)`` and the predecessor of
-    ``i`` equal ``i``'s next hop toward ``j``, so one batched solve per
-    destination block yields whole parent forests.  Destinations are
-    processed in blocks of *block_size* and each block is unrolled as
-    one flattened forest, preserving the (destination ascending, source
-    ascending) sequence order.
-
-    Caveats: scipy breaks shortest-path ties arbitrarily, so the
-    selected routes -- and therefore the demanded ``(i, j, k)`` sets --
-    agree with the canonical ones only up to ties (the scaling presets
-    draw continuous costs, where ties have measure zero), and even on
-    tie-free instances the LCP column matches the canonical labels only
-    to ~1 ulp (``dist - c_j`` re-associates the float sum).  Differential
-    fixtures must keep using canonical routes; this path exists for
-    instances where the canonical tie-broken solve itself is infeasible.
+    Reads the per-block parent/cost arrays of
+    :func:`repro.routing.forest.canonical_forest` without building a
+    single :class:`~repro.routing.dijkstra.RouteTree` (beyond the
+    builder's tie fallbacks), so the demand equals
+    ``demand_from_routes(graph, all_pairs_lcp(graph))`` bit for bit at
+    a fraction of the memory -- the configuration the 10k-node presets
+    price in.
     """
-    if block_size < 1:
-        raise EngineError(f"forest block size must be >= 1, got {block_size}")
     flat = flat if flat is not None else build_flat_graph(graph)
-    n = flat.num_nodes
-    # One transposed copy of the reduction, built once: the transpose
-    # maps "distance to j" problems onto ordinary rooted solves.
-    transposed = flat.matrix().T.tocsr()
-    src_parts: List[np.ndarray] = []
-    dst_parts: List[np.ndarray] = []
-    lcp_parts: List[np.ndarray] = []
-    width_parts: List[np.ndarray] = []
-    entry_parts: List[np.ndarray] = []
-    for start in range(0, n, block_size):
-        block = np.arange(start, min(start + block_size, n), dtype=np.int64)
-        dist, predecessors = _csgraph_dijkstra(
-            transposed,
-            directed=True,
-            indices=block,
-            return_predecessors=True,
-        )
-        unreachable = ~np.isfinite(dist)
-        unreachable[np.arange(block.shape[0]), block] = False
-        if unreachable.any():
-            row = int(np.flatnonzero(unreachable.any(axis=1))[0])
-            missing = sorted(
-                flat.node_ids[np.flatnonzero(unreachable[row])].tolist()
-            )
-            destination = int(flat.node_ids[block[row]])
-            raise DisconnectedGraphError(
-                f"nodes {missing} cannot reach {destination}"
-            )
-        # Flatten the block into one forest: row b's slots live at
-        # [b * n, (b + 1) * n) and its parent pointers are offset to
-        # match; scipy's -9999 sentinel (roots, and nothing else on a
-        # connected graph) becomes -1.
-        base = (np.arange(block.shape[0], dtype=np.int64) * n)[:, np.newaxis]
-        parent = np.where(predecessors >= 0, predecessors + base, -1).ravel()
-        sources, widths, entries = _unroll_parents(parent)
-        src_parts.append((sources % n).astype(np.int32))
-        dst_parts.append(block[sources // n].astype(np.int32))
-        lcp_parts.append(
-            (dist - flat.costs[block][:, np.newaxis]).ravel()[sources]
-        )
-        width_parts.append(widths)
-        entry_parts.append((entries % n).astype(np.int32))
-    return _finalize_demand(
+    return _demand_from_blocks(
         flat,
-        _concat(src_parts, np.int32),
-        _concat(dst_parts, np.int32),
-        _concat(lcp_parts, np.float64),
-        _concat(width_parts, np.int64),
-        _concat(entry_parts, np.int32),
+        (
+            (block.destinations, block.parent, block.cost)
+            for block in canonical_forest(graph, flat)
+        ),
     )
 
 
@@ -963,18 +912,19 @@ def flat_price_arrays(
 ) -> FlatPriceArrays:
     """Theorem 1 prices as flat arrays: demand inversion + sweep.
 
-    The end-to-end array-native path: canonical routes (computed if not
-    given) are inverted with :func:`demand_from_routes` and swept with
-    *workers* processes over ``min(shards, groups)`` round-robin shards
-    (*shards* defaults to *workers*).  The result prices exactly the
-    pairs :func:`repro.routing.engines.flat.flat_price_rows` would,
-    without materializing any per-entry Python structure.
+    The end-to-end array-native path: the canonical routes are inverted
+    into demand -- from *routes* with :func:`demand_from_routes`, or,
+    when none are given, straight from the canonical forest with
+    :func:`canonical_demand` -- and swept with *workers* processes over
+    ``min(shards, groups)`` round-robin shards (*shards* defaults to
+    *workers*).  The result prices exactly the pairs
+    :func:`repro.routing.engines.flat.flat_price_rows` would, without
+    materializing any per-entry Python structure.
     """
     if routes is None:
-        from repro.routing.allpairs import all_pairs_lcp
-
-        routes = all_pairs_lcp(graph)
-    demand = demand_from_routes(graph, routes)
+        demand = canonical_demand(graph)
+    else:
+        demand = demand_from_routes(graph, routes)
     shard_lists = _group_shards_round_robin(
         demand, shards if shards is not None else workers
     )
@@ -1000,10 +950,9 @@ def flat_sweep_sharded(
     the same error behavior.
     """
     if routes is None:
-        from repro.routing.allpairs import all_pairs_lcp
-
-        routes = all_pairs_lcp(graph)
-    demand = demand_from_routes(graph, routes)
+        demand = canonical_demand(graph)
+    else:
+        demand = demand_from_routes(graph, routes)
     demanded = demand.transit_nodes()
     sharded = [node for shard in shards for node in shard]
     if sorted(sharded) != sorted(demanded):

@@ -20,10 +20,12 @@ compared lexicographically.  Two properties make it appropriate:
   consistency is exactly loop-freedom: the selected routes toward ``j``
   form a tree.
 
-Both the centralized Dijkstra and the distributed BGP engine rank
-candidates with :func:`route_key`, so they always select identical
-routes (costs are accumulated identically too; see
-:mod:`repro.routing.paths`).
+The distributed BGP engine ranks candidates with :func:`route_key`; the
+centralized Dijkstra ranks them by the ``(cost, hops, next hop)``
+labels that suffix consistency reduces this key to (see
+:func:`repro.routing.dijkstra.route_tree`), which order candidates
+identically.  So both always select identical routes (costs are
+accumulated identically too; see :mod:`repro.routing.paths`).
 """
 
 from __future__ import annotations

@@ -23,6 +23,9 @@ from repro.devtools import sanitize
 from repro.exceptions import SanitizerError
 from repro.graphs.asgraph import ASGraph
 from repro.mechanism.vcg import compute_price_table
+from repro.routing import allpairs, dijkstra
+from repro.routing.allpairs import all_pairs_lcp
+from repro.routing.dijkstra import route_tree
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -209,6 +212,27 @@ class TestLcpCheck:
         graph = triangle.with_cost(1, 0.0)
         with pytest.raises(SanitizerError, match="canonical"):
             sanitize.check_lcp(graph, 0, 2, (0, 1, 2), 0.0)
+
+    def test_given_reference_tree_is_used(self, triangle):
+        graph = triangle.with_cost(1, 0.0)
+        reference = route_tree(graph, 2)
+        with pytest.raises(SanitizerError, match="canonical"):
+            sanitize.check_lcp(graph, 0, 2, (0, 1, 2), 0.0, reference=reference)
+
+    def test_all_pairs_check_runs_one_dijkstra_per_destination(
+        self, fig1, monkeypatch
+    ):
+        routes = all_pairs_lcp(fig1)
+        calls = []
+
+        def counting_route_tree(graph, destination):
+            calls.append(destination)
+            return route_tree(graph, destination)
+
+        monkeypatch.setattr(allpairs, "route_tree", counting_route_tree)
+        monkeypatch.setattr(dijkstra, "route_tree", counting_route_tree)
+        allpairs._sanitize_routes(fig1, routes)
+        assert sorted(calls) == list(fig1.nodes)
 
 
 class TestPriceRowCheck:

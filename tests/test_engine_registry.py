@@ -62,21 +62,36 @@ class TestRegistry:
         assert get_engine("reference").carries_paths
         assert get_engine("parallel").carries_paths
         assert get_engine("incremental").carries_paths
+        assert get_engine("flat").carries_paths
+        assert get_engine("flat-parallel").carries_paths
         assert not get_engine("scipy").carries_paths
-        assert not get_engine("flat").carries_paths
-        assert not get_engine("flat-parallel").carries_paths
 
 
 class TestCapabilityErrors:
-    @pytest.mark.parametrize("name", ["scipy", "flat", "flat-parallel"])
+    @pytest.mark.parametrize("name", ["scipy"])
     def test_cost_only_engine_has_no_paths(self, fig1, name):
         with pytest.raises(EngineError, match="cost-only"):
             get_engine(name).all_pairs(fig1)
 
-    @pytest.mark.parametrize("name", ["scipy", "flat", "flat-parallel"])
+    @pytest.mark.parametrize("name", ["scipy"])
     def test_all_pairs_lcp_engine_must_carry_paths(self, fig1, name):
         with pytest.raises(EngineError, match="cost-only"):
             all_pairs_lcp(fig1, engine=name)
+
+
+class TestFlatCarriesPaths:
+    """The flat engines build the canonical forest, so they answer
+    ``all_pairs`` with the reference's own routes."""
+
+    @pytest.mark.parametrize("name", ["flat", "flat-parallel"])
+    def test_all_pairs(self, fig1, name):
+        routes = get_engine(name).all_pairs(fig1)
+        assert routes.paths == all_pairs_lcp(fig1).paths
+
+    @pytest.mark.parametrize("name", ["flat", "flat-parallel"])
+    def test_all_pairs_lcp_dispatch(self, fig1, name):
+        routes = all_pairs_lcp(fig1, engine=name)
+        assert routes.paths == all_pairs_lcp(fig1).paths
 
 
 class TestEngineParameter:
