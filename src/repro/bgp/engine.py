@@ -292,7 +292,9 @@ class SynchronousEngine:
         # Local computation + publication, restricted to dirty nodes.
         # Under the sanitizer every node re-decides (idempotent, so the
         # results are unchanged) so that invariant checks keep seeing
-        # the full decision process.
+        # the full decision process: a node with nothing dirty fully,
+        # a dirty one change-driven and then checked against a full
+        # decision (``[sanitize:decide]``).
         decide_all = sanitize.enabled()
         changed: Set[NodeId] = set()
         materially_changed: Set[NodeId] = set()
@@ -301,10 +303,7 @@ class SynchronousEngine:
             if not node_dirty and not decide_all:
                 continue
             node = self.nodes[node_id]
-            if decide_all:
-                node.decide()
-            else:
-                node.decide(node_dirty)
+            node.decide(node_dirty)
             delta = node.publication_delta()
             if not delta.is_empty:
                 self._outbox[node_id] = RouteDelta(
@@ -716,9 +715,11 @@ class AsynchronousEngine:
             if isinstance(payload, RouteDelta):
                 dirty = node.receive_delta(sender, payload)
                 if sanitize.enabled():
-                    # Full (idempotent) re-decision so the invariant
-                    # checks see the complete decision process.
-                    node.decide()
+                    # Every delivery re-decides so the invariant checks
+                    # see the complete decision process: change-driven
+                    # and then checked against a full decision, or fully
+                    # when nothing is dirty.
+                    node.decide(dirty or None)
                     self._sanitize_delivery(receiver, node)
                 elif dirty:
                     node.decide(dirty)

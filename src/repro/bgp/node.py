@@ -13,11 +13,15 @@ it changed.  Route selection is a pure function of the Adj-RIB-In:
   destination), matching the centralized Dijkstra bit for bit;
 * the policy's total order picks the winner.
 
-Subclasses (the FPSS price-computing node) hook :meth:`_after_decide`
-to derive additional per-destination state from the same messages.
+Subclasses change how a candidate is extended or ranked through the
+per-neighbor hook :meth:`_candidate` (policy routing, per-neighbor
+costs), and hook :meth:`_after_decide` to derive additional
+per-destination state from the same messages (the FPSS price rows).
 
 Incremental machinery (the delta substrate): :meth:`decide` accepts a
-*dirty* destination set and then re-selects only those destinations;
+*dirty* destination set and then re-selects only those destinations,
+each against only the neighbors whose advertisement changed since it
+was last decided (the Adj-RIB-In's change record);
 outgoing rows are cached and hash-consed, so rebuilding the table after
 a decision touches only the rows whose inputs changed; and
 :meth:`publication_delta` hands the owning engine exactly the rows that
@@ -27,7 +31,18 @@ changed since the last transmission (plus withdrawals), which is what a
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Set, Tuple
+from typing import (
+    AbstractSet,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 import repro.obs as obs_mod
 from repro.bgp.messages import (
@@ -38,6 +53,7 @@ from repro.bgp.messages import (
 )
 from repro.bgp.policy import LowestCostPolicy, SelectionPolicy
 from repro.bgp.table import AdjRIBIn, RouteEntry
+from repro.devtools import sanitize
 from repro.exceptions import ProtocolError
 from repro.obs import names as metric_names
 from repro.types import Cost, NodeId, validate_cost
@@ -147,15 +163,23 @@ class BGPNode:
                 dirty.add(destination)
         return dirty
 
-    def drop_neighbor(self, neighbor: NodeId) -> None:
-        """Forget a failed adjacency."""
-        self.rib_in.drop_neighbor(neighbor)
+    def drop_neighbor(self, neighbor: NodeId) -> Set[NodeId]:
+        """Forget a failed adjacency; returns the destinations whose
+        stored advertisement vanished (the dirty set)."""
+        return self.rib_in.drop_neighbor(neighbor)
 
-    def set_declared_cost(self, cost: Cost) -> None:
+    def set_declared_cost(self, cost: Cost) -> Set[NodeId]:
         """Change this node's declared cost (dynamics / strategic play).
-        Takes effect at the next decision."""
+
+        Takes effect at the next decision of each destination: every
+        route's cost snapshot names this node's cost, so every routed
+        destination is returned as dirty and re-examines every neighbor
+        when next decided.
+        """
         self.declared_cost = validate_cost(cost, what=f"cost of node {self.node_id}")
         self._stale_rows.add(self.node_id)
+        self.rib_in.mark_all_changed(self.routes)
+        return set(self.routes)
 
     # ------------------------------------------------------------------
     # Decision process
@@ -164,92 +188,185 @@ class BGPNode:
         """Recompute selected routes from the Adj-RIB-In.
 
         With *dirty* = None (the full decision of the Sect. 5 model),
-        every destination is re-selected.  With a dirty set -- the
-        destinations whose inbound advertisements changed, as returned
-        by :meth:`receive_table` / :meth:`receive_delta` -- only those
-        are re-selected.  Selection is a pure per-destination function
-        of the Adj-RIB-In, so both calls leave identical state; the
-        dirty form just skips the destinations whose inputs are
-        untouched.
+        every destination is re-selected from every neighbor.  With a
+        dirty set -- the destinations whose inbound advertisements
+        changed, as returned by :meth:`receive_table` /
+        :meth:`receive_delta` -- only those are re-selected, and each
+        only re-examines the neighbors the Adj-RIB-In's change record
+        names (see :meth:`_select_route`).  Selection is a pure
+        per-destination function of the Adj-RIB-In, so both calls leave
+        identical state; the dirty form just skips the destinations and
+        advertisements that are untouched.  Under the runtime sanitizer
+        a dirty decision is followed by a full one that must move
+        nothing (``[sanitize:decide]``).
 
         Returns the destinations whose selected route changed (used by
         subclasses and by tests; the engine detects change at the
         advertisement level).
         """
-        changed: Set[NodeId] = set()
+        rib = self.rib_in
+        # destination -> the neighbors to re-examine (None: every one)
+        examined: Dict[NodeId, Optional[AbstractSet[NodeId]]]
         if dirty is None:
-            destinations = set(self.rib_in.destinations())
+            destinations = set(rib.destinations())
             destinations.discard(self.node_id)
-            candidates = sorted(destinations)
+            examined = dict.fromkeys(sorted(destinations))
+            rib.clear_changes()
         else:
-            candidates = sorted(d for d in dirty if d != self.node_id)
-        for destination in candidates:
-            entry = self._select_route(destination)
+            examined = {}
+            for destination in sorted(dirty):
+                neighbors = rib.take_changes(destination)
+                if destination != self.node_id:
+                    examined[destination] = neighbors
+        changed: Set[NodeId] = set()
+        for destination, neighbors in examined.items():
             previous = self.routes.get(destination)
-            if entry is None:
-                if previous is not None:
-                    del self.routes[destination]
-                    changed.add(destination)
+            entry = self._select_route(destination, previous, neighbors)
+            if entry is previous:
                 continue
+            if entry is None:
+                del self.routes[destination]
+                changed.add(destination)
             # Exact cost comparison is deliberate: accumulation is
             # bit-identical, so any difference is a real route change.
-            if previous is None or previous.path != entry.path or previous.cost != entry.cost:  # repro-lint: ok(RPR001)
+            elif previous is None or previous.path != entry.path or previous.cost != entry.cost:  # repro-lint: ok(RPR001)
                 self.routes[destination] = entry
                 changed.add(destination)
-            else:
+            elif dict(previous.node_costs) != dict(entry.node_costs):
                 # Refresh the cost snapshot even when the route is
                 # unchanged (a node on the path may have re-declared).
-                if dict(previous.node_costs) != dict(entry.node_costs):
-                    self.routes[destination] = entry
-                    changed.add(destination)
+                self.routes[destination] = entry
+                changed.add(destination)
         if dirty is None:
             # Routes to destinations that vanished from every neighbor
             # table.  (In the dirty form such destinations are in the
             # dirty set -- a withdrawal dirtied them -- and the main
             # loop's ``entry is None`` branch already dropped them.)
             for destination in list(self.routes):
-                if destination not in destinations:
+                if destination not in examined:
                     del self.routes[destination]
                     changed.add(destination)
-        derived = self._after_decide(changed, dirty)
+        derived = self._after_decide(changed, None if dirty is None else examined)
         if derived is None:
             # The subclass does not track which advertised derived rows
             # changed; conservatively treat every recomputed destination
             # as touched (publication_delta suppresses the no-ops).
-            derived = set(candidates)
+            derived = set(examined)
         self._stale_rows.update(changed)
         self._stale_rows.update(derived)
+        if dirty is not None and sanitize.enabled():
+            sanitize.check_decision(self)
         return changed
 
-    def _select_route(self, destination: NodeId) -> Optional[RouteEntry]:
+    def _select_route(
+        self,
+        destination: NodeId,
+        previous: Optional[RouteEntry],
+        neighbors: Optional[AbstractSet[NodeId]],
+    ) -> Optional[RouteEntry]:
+        """The best route to *destination*; *previous* when it stands.
+
+        *neighbors* are the neighbors whose advertisement changed since
+        *previous* was selected (None: every neighbor).  An unchanged
+        advertisement ranks exactly as it did then -- below *previous*,
+        since candidates from different neighbors never tie (each key
+        ends in a path starting ``(self, neighbor, ...)``) -- so only the
+        changed ones can beat it.  Every neighbor is scanned when there
+        is no previous route or its own neighbor is among the changed.
+        """
+        rib = self.rib_in
         best_key: Optional[Tuple] = None
-        best_entry: Optional[RouteEntry] = None
-        for neighbor, advert in sorted(self.rib_in.adverts_for(destination).items()):
-            if self.node_id in advert.path:
-                continue  # loop suppression
-            extension_cost = 0.0 if advert.sender == destination else advert.sender_cost
-            cost = advert.cost + extension_cost
-            path = (self.node_id,) + advert.path
-            key = self.policy.key(cost, path)
+        winner: Optional[Tuple[RouteAdvertisement, Cost, Cost]] = None
+        fallback: Optional[RouteEntry] = None
+        scan: Optional[Sequence[Tuple[NodeId, Optional[RouteAdvertisement]]]] = None
+        if neighbors is not None and previous is not None:
+            parent = previous.path[1]
+            incumbent = None if parent in neighbors else rib.advert(parent, destination)
+            if incumbent is not None:
+                fallback = previous
+                best_key = self._candidate(parent, incumbent)[0]
+                scan = [(n, rib.advert(n, destination)) for n in sorted(neighbors)]
+        if scan is None:
+            scan = sorted(rib.adverts_for(destination).items())
+        for neighbor, advert in scan:
+            if advert is None or self.node_id in advert.path:
+                continue  # withdrawn, or loop suppression
+            key, cost, own_cost = self._candidate(neighbor, advert)
             if best_key is None or key < best_key:
                 best_key = key
-                node_costs = dict(advert.node_costs)
-                node_costs[self.node_id] = self.declared_cost
-                best_entry = RouteEntry(path=path, cost=cost, node_costs=node_costs)
-        return best_entry
+                winner = (advert, cost, own_cost)
+        if winner is None:
+            return fallback
+        return self._entry(*winner)
+
+    def _candidate(
+        self, neighbor: NodeId, advert: RouteAdvertisement
+    ) -> Tuple[Tuple, Cost, Cost]:
+        """Rank the route through *neighbor*'s loop-free *advert*.
+
+        Returns its selection key, its transit cost, and this node's own
+        cost as the route's cost snapshot records it.  The one hook
+        subclasses override to change how a route is extended or ranked.
+        """
+        extension_cost = 0.0 if advert.sender == advert.destination else advert.sender_cost
+        cost = advert.cost + extension_cost
+        key = self.policy.key(cost, (self.node_id,) + advert.path)
+        return key, cost, self.declared_cost
+
+    def _entry(
+        self, advert: RouteAdvertisement, cost: Cost, own_cost: Cost
+    ) -> RouteEntry:
+        node_costs = dict(advert.node_costs)
+        node_costs[self.node_id] = own_cost
+        return RouteEntry(path=(self.node_id,) + advert.path, cost=cost, node_costs=node_costs)
+
+    def _route_via(self, destination: NodeId, neighbor: NodeId) -> Optional[RouteEntry]:
+        """The route *neighbor*'s stored advertisement offers, if any."""
+        advert = self.rib_in.advert(neighbor, destination)
+        if advert is None or self.node_id in advert.path:
+            return None
+        _, cost, own_cost = self._candidate(neighbor, advert)
+        return self._entry(advert, cost, own_cost)
+
+    def _missed_neighbor(
+        self,
+        destination: NodeId,
+        route: Optional[RouteEntry],
+        row: Mapping[NodeId, Cost],
+    ) -> Optional[NodeId]:
+        """The neighbor whose stored advertisement for *destination*
+        contradicts *route* and *row* (what a decision left there);
+        the sanitizer names it when a full decision moves them.
+
+        *route* stands unless its own neighbor no longer offers it;
+        otherwise the neighbor of the route a full decision selects
+        offers a better one.  Subclasses check *row*, the advertised
+        derived row.
+        """
+        if route is not None:
+            offered = self._route_via(destination, route.path[1])
+            if offered != route:
+                return route.path[1]
+        current = self.routes.get(destination)
+        if current is not None and current != route:
+            return current.path[1]
+        return None
 
     def _after_decide(
         self,
         changed_destinations: Set[NodeId],
-        dirty_destinations: Optional[Set[NodeId]] = None,
+        examined: Optional[Mapping[NodeId, Optional[AbstractSet[NodeId]]]] = None,
     ) -> Optional[Set[NodeId]]:
         """Hook for subclasses (price computation).
 
-        *dirty_destinations* is the dirty set :meth:`decide` was given
-        (None: full decision).  Since every advertised derived row (the
-        price slot) is a function of that destination's inbound
-        advertisements and selected route alone, a subclass may restrict
-        its recomputation to ``dirty | changed``.
+        *examined* maps each destination :meth:`decide` re-selected to
+        the neighbors whose advertisement changed since its previous
+        decision (None: every neighbor); *examined* itself is None for a
+        full decision.  Since every advertised derived row (the price
+        slot) is a function of that destination's inbound advertisements
+        and selected route alone, a subclass may restrict its
+        recomputation to those destinations, and an accumulating one to
+        the changed neighbors.
 
         Returns the destinations whose *advertised* derived state
         changed, or None when the subclass does not track this (the

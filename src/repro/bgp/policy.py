@@ -26,8 +26,10 @@ class SelectionPolicy(abc.ABC):
     """A total order on candidate routes toward a fixed destination.
 
     Smaller keys win.  Keys for candidates of the same source node must
-    be mutually comparable tuples; the concrete policies below satisfy
-    this with ``(scalar..., path)`` shapes.
+    be mutually comparable tuples, and distinct paths must never tie
+    (change-driven decisions compare only changed candidates against
+    the current route); the concrete policies below satisfy this with
+    ``(scalar..., path)`` shapes.
     """
 
     name: str = "abstract"

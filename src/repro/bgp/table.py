@@ -13,7 +13,17 @@ Terminology follows real BGP:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Mapping, Optional, Set, Tuple
+from typing import (
+    AbstractSet,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    Mapping,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from repro.bgp.messages import RouteAdvertisement
 from repro.types import Cost, NodeId, PathTuple
@@ -52,6 +62,11 @@ class RouteEntry:
         return len(self.path) + len(self.node_costs)
 
 
+#: What :meth:`AdjRIBIn.take_changes` returns for a destination with no
+#: changed row.
+_NO_CHANGES: FrozenSet[NodeId] = frozenset()
+
+
 class AdjRIBIn:
     """Per-neighbor advertisement store.
 
@@ -63,10 +78,27 @@ class AdjRIBIn:
     is the real-BGP incremental optimization reintroduced by the delta
     substrate.  Either way the write methods report which destinations
     actually changed, so the owning node can recompute only those.
+
+    The store also keeps a *change record*: per destination, the
+    neighbors whose row changed since the owning node last decided that
+    destination (:meth:`take_changes`), or ``None`` when every neighbor
+    must be re-examined (:meth:`mark_all_changed`).  Every write method
+    keeps it, so a decision re-examines only the advertisements that
+    moved.
     """
 
     def __init__(self) -> None:
         self._store: Dict[NodeId, Dict[NodeId, RouteAdvertisement]] = {}
+        self._changes: Dict[NodeId, Optional[Set[NodeId]]] = {}
+
+    def _record(self, destination: NodeId, neighbor: NodeId) -> None:
+        changes = self._changes
+        if destination not in changes:
+            changes[destination] = {neighbor}
+            return
+        neighbors = changes[destination]
+        if neighbors is not None:
+            neighbors.add(neighbor)
 
     def replace_neighbor_table(
         self,
@@ -84,19 +116,23 @@ class AdjRIBIn:
             previous = old.get(destination)
             if previous is None or (previous is not advert and previous != advert):
                 dirty.add(destination)
+                self._record(destination, neighbor)
         for destination in old:
             if destination not in new:
                 dirty.add(destination)
+                self._record(destination, neighbor)
         return dirty
 
     def apply_update(self, neighbor: NodeId, advert: RouteAdvertisement) -> bool:
         """Store one replacement row from *neighbor*; True iff the slice
         actually changed."""
         table = self._store.setdefault(neighbor, {})
-        previous = table.get(advert.destination)
+        destination = advert.destination
+        previous = table.get(destination)
         if previous is advert or (previous is not None and previous == advert):
             return False
-        table[advert.destination] = advert
+        table[destination] = advert
+        self._record(destination, neighbor)
         return True
 
     def withdraw(self, neighbor: NodeId, destination: NodeId) -> bool:
@@ -105,11 +141,35 @@ class AdjRIBIn:
         if not table or destination not in table:
             return False
         del table[destination]
+        self._record(destination, neighbor)
         return True
 
-    def drop_neighbor(self, neighbor: NodeId) -> None:
-        """Forget everything learned from *neighbor* (link failure)."""
-        self._store.pop(neighbor, None)
+    def drop_neighbor(self, neighbor: NodeId) -> Set[NodeId]:
+        """Forget everything learned from *neighbor* (link failure);
+        returns the destinations it had advertised."""
+        table = self._store.pop(neighbor, None) or {}
+        for destination in table:
+            self._record(destination, neighbor)
+        return set(table)
+
+    # ------------------------------------------------------------------
+    # Change record
+    # ------------------------------------------------------------------
+    def take_changes(self, destination: NodeId) -> Optional[AbstractSet[NodeId]]:
+        """The neighbors whose row for *destination* changed since the
+        last take, or None when every neighbor must be re-examined; the
+        record for *destination* is cleared."""
+        return self._changes.pop(destination, _NO_CHANGES)
+
+    def mark_all_changed(self, destinations: Iterable[NodeId]) -> None:
+        """Make the next take for each of *destinations* re-examine every
+        neighbor (state the rows were folded into was reset)."""
+        for destination in destinations:
+            self._changes[destination] = None
+
+    def clear_changes(self) -> None:
+        """Forget the record (a full decision re-examined every row)."""
+        self._changes.clear()
 
     def neighbors(self) -> Tuple[NodeId, ...]:
         return tuple(sorted(self._store))

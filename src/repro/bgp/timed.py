@@ -579,9 +579,11 @@ class TimedEngine:
             else:
                 dirty = node.receive_table(sender, body)
             if sanitize.enabled():
-                # Full (idempotent) re-decision so the invariant checks
-                # see the complete decision process.
-                node.decide()
+                # Every delivery re-decides so the invariant checks see
+                # the complete decision process: change-driven and then
+                # checked against a full decision, or fully when nothing
+                # is dirty.
+                node.decide(dirty or None)
                 self._sanitize_delivery(receiver, node)
             elif dirty:
                 node.decide(dirty)

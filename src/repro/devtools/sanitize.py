@@ -17,7 +17,9 @@ assumes silently.  This module makes them machine-checked:
   Theorem 1 is undefined;
 * **monotone convergence** -- across synchronous stages (and
   asynchronous deliveries) of a static epoch, a node's selected route
-  key per destination never worsens.
+  key per destination never worsens;
+* **complete change-driven decisions** -- a full decision right after
+  a dirty one moves no route and no price row.
 
 Checks are **off by default** and cost one predicate call on the hot
 paths when off.  Enable them with the ``REPRO_SANITIZE=1`` environment
@@ -53,6 +55,8 @@ from repro.exceptions import SanitizerError, UnreachableError
 from repro.types import EPSILON, Cost, NodeId, PathTuple, is_finite_cost
 
 if TYPE_CHECKING:  # pragma: no cover - import-light on hot paths
+    from repro.bgp.node import BGPNode
+    from repro.bgp.table import RouteEntry
     from repro.graphs.asgraph import ASGraph
     from repro.mechanism.vcg import PriceTable
     from repro.routing.dijkstra import RouteTree
@@ -68,6 +72,7 @@ __all__ = [
     "check_price_row",
     "check_price_table",
     "check_routes_monotone",
+    "check_decision",
     "checks_run",
 ]
 
@@ -335,6 +340,45 @@ def check_routes_monotone(
                 f"node {node_id} worsened its route to {destination}: "
                 f"{old_key} -> {new_key} with no network event",
             )
+
+
+def check_decision(node: "BGPNode") -> None:
+    """A dirty decision must leave what a full decision leaves.
+
+    Called right after ``node.decide(dirty)``: runs the full
+    ``node.decide()`` and requires it to move no selected route and no
+    advertised derived (price) row.  A move means the change-driven
+    decision skipped an advertisement that changed -- the Adj-RIB-In's
+    change record (or the dirty set) missed it; the error names the
+    node, the destination and that neighbor.
+    """
+    _count()
+    routes = dict(node.routes)
+    rows = {destination: node._prices_for(destination) for destination in routes}
+    node.decide()
+    for destination in sorted(set(routes) | set(node.routes)):
+        before = routes.get(destination)
+        after = node.routes.get(destination)
+        row = rows.get(destination, {})
+        # Exact: on honest state the full decision folds nothing new in,
+        # so every row comes back bit for bit.
+        if before is after and row == node._prices_for(destination):  # repro-lint: ok(RPR001)
+            continue
+        if before is after:
+            moved = f"price row {row} -> {node._prices_for(destination)}"
+        else:
+            moved = f"route {_route_text(before)} -> {_route_text(after)}"
+        neighbor = node._missed_neighbor(destination, before, row)
+        _fail(
+            "decide",
+            f"node {node.node_id}: a full decision moved destination "
+            f"{destination}'s {moved}; the dirty decision missed the change "
+            f"to neighbor {neighbor}'s advertisement",
+        )
+
+
+def _route_text(entry: Optional["RouteEntry"]) -> str:
+    return "none" if entry is None else f"{entry.path} at cost {entry.cost}"
 
 
 def snapshot_routes(

@@ -29,9 +29,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import AbstractSet, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.bgp.engine import SynchronousEngine
+from repro.bgp.messages import RouteAdvertisement
 from repro.bgp.node import BGPNode
 from repro.bgp.policy import LowestCostPolicy, SelectionPolicy
 from repro.bgp.table import RouteEntry
@@ -68,21 +69,12 @@ class EdgeCostPriceNode(BGPNode):
     # ------------------------------------------------------------------
     # Tree-route selection: C includes our own first-edge cost.
     # ------------------------------------------------------------------
-    def _select_route(self, destination: NodeId) -> Optional[RouteEntry]:
-        best_key = None
-        best_entry: Optional[RouteEntry] = None
-        for neighbor, advert in sorted(self.rib_in.adverts_for(destination).items()):
-            if self.node_id in advert.path:
-                continue
-            cost = advert.cost + self.forwarding_costs[neighbor]
-            path = (self.node_id,) + advert.path
-            key = self.policy.key(cost, path)
-            if best_key is None or key < best_key:
-                best_key = key
-                node_costs = dict(advert.node_costs)
-                node_costs[self.node_id] = self.forwarding_costs[neighbor]
-                best_entry = RouteEntry(path=path, cost=cost, node_costs=node_costs)
-        return best_entry
+    def _candidate(
+        self, neighbor: NodeId, advert: RouteAdvertisement
+    ) -> Tuple[Tuple, Cost, Cost]:
+        edge_cost = self.forwarding_costs[neighbor]
+        cost = advert.cost + edge_cost
+        return self.policy.key(cost, (self.node_id,) + advert.path), cost, edge_cost
 
     # ------------------------------------------------------------------
     # Derived state: avoiding rows, source routes, prices.
@@ -97,15 +89,15 @@ class EdgeCostPriceNode(BGPNode):
     def _after_decide(
         self,
         changed_destinations: Set[NodeId],
-        dirty_destinations: Optional[Set[NodeId]] = None,
+        examined: Optional[Mapping[NodeId, Optional[AbstractSet[NodeId]]]] = None,
     ) -> Set[NodeId]:
         # Every derived quantity below is a per-destination function of
         # that destination's stored advertisements (plus the selected
-        # route), so a dirty decision restricts the sweep to
-        # ``dirty | changed``.  Returns the destinations whose
+        # route), so a dirty decision restricts the sweep to the
+        # examined destinations.  Returns the destinations whose
         # *advertised* avoiding row changed.
         rows_changed: Set[NodeId] = set()
-        if dirty_destinations is None:
+        if examined is None:
             scope_set = None
             # --- avoiding-cost rows for the advertised tree routes ----
             for destination in list(self.avoiding_rows):
@@ -114,7 +106,7 @@ class EdgeCostPriceNode(BGPNode):
                     rows_changed.add(destination)
             scope = sorted(self.routes)
         else:
-            scope_set = set(dirty_destinations) | set(changed_destinations)
+            scope_set = set(examined)  # every changed destination was examined
             for destination in sorted(scope_set):
                 if destination not in self.routes and destination in self.avoiding_rows:
                     del self.avoiding_rows[destination]

@@ -26,7 +26,6 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.bgp.messages import RouteAdvertisement
 from repro.bgp.node import BGPNode
 from repro.bgp.policy import LowestCostPolicy
-from repro.bgp.table import RouteEntry
 from repro.exceptions import ConvergenceError
 from repro.graphs.asgraph import ASGraph
 from repro.policy.relationships import (
@@ -50,25 +49,12 @@ class PolicyNode(BGPNode):
         self.relationships = relationships
 
     # --- selection: customer > peer > provider, then LCP order --------
-    def _select_route(self, destination: NodeId) -> Optional[RouteEntry]:
-        best_key = None
-        best_entry: Optional[RouteEntry] = None
-        for neighbor, advert in sorted(self.rib_in.adverts_for(destination).items()):
-            if self.node_id in advert.path:
-                continue
-            rank = PREFERENCE_RANK[
-                self.relationships.relationship(self.node_id, neighbor)
-            ]
-            extension_cost = 0.0 if advert.sender == destination else advert.sender_cost
-            cost = advert.cost + extension_cost
-            path = (self.node_id,) + advert.path
-            key = (rank,) + self.policy.key(cost, path)
-            if best_key is None or key < best_key:
-                best_key = key
-                node_costs = dict(advert.node_costs)
-                node_costs[self.node_id] = self.declared_cost
-                best_entry = RouteEntry(path=path, cost=cost, node_costs=node_costs)
-        return best_entry
+    def _candidate(
+        self, neighbor: NodeId, advert: RouteAdvertisement
+    ) -> Tuple[Tuple, Cost, Cost]:
+        key, cost, own_cost = super()._candidate(neighbor, advert)
+        rank = PREFERENCE_RANK[self.relationships.relationship(self.node_id, neighbor)]
+        return (rank,) + key, cost, own_cost
 
     # --- export: customer routes to all; others to customers only -----
     def exportable_to(self, neighbor: NodeId, destination: NodeId) -> bool:

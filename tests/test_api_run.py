@@ -204,11 +204,17 @@ class TestSanitizeOverride:
         assert result.stages > 0  # routes exist; prices were not checked
 
     def test_override_is_scoped_to_the_run(self, fig1):
+        # Whatever the ambient toggle (REPRO_SANITIZE=1 sets it), a run's
+        # override must leave it at its prior value.
         from repro.devtools import sanitize as sanitize_checks
 
-        assert not sanitize_checks.enabled()
-        api.run(fig1, sanitize=True)
-        assert not sanitize_checks.enabled()
+        prior = sanitize_checks.enabled()
+        for ambient in (False, True):
+            with sanitize_checks.sanitized(ambient):
+                for override in (True, False):
+                    api.run(fig1, sanitize=override)
+                    assert sanitize_checks.enabled() is ambient
+        assert sanitize_checks.enabled() is prior
 
 
 class TestDeprecatedWrappers:

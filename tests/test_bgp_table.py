@@ -78,3 +78,53 @@ class TestAdjRIBIn:
         rib.replace_neighbor_table(2, {})
         rib.replace_neighbor_table(1, {})
         assert list(rib) == [1, 2]
+
+
+class TestChangeRecord:
+    """Every write records which (destination, neighbor) rows changed
+    since the destination was last decided."""
+
+    def test_every_write_method_records(self):
+        rib = AdjRIBIn()
+        rib.replace_neighbor_table(1, {3: advert(1, 3, (1, 3)), 4: advert(1, 4, (1, 4))})
+        assert rib.apply_update(2, advert(2, 3, (2, 3)))
+        assert rib.take_changes(3) == {1, 2}
+        assert rib.take_changes(4) == {1}
+        assert rib.withdraw(2, 3)
+        assert rib.take_changes(3) == {2}
+        assert rib.drop_neighbor(1) == {3, 4}
+        assert rib.take_changes(3) == {1}
+        assert rib.take_changes(4) == {1}
+
+    def test_take_clears_only_its_destination(self):
+        rib = AdjRIBIn()
+        rib.replace_neighbor_table(1, {3: advert(1, 3, (1, 3)), 4: advert(1, 4, (1, 4))})
+        assert rib.take_changes(3) == {1}
+        assert rib.take_changes(3) == set()
+        assert rib.take_changes(4) == {1}
+
+    def test_unchanged_rows_are_not_recorded(self):
+        rib = AdjRIBIn()
+        row = advert(1, 3, (1, 3))
+        rib.replace_neighbor_table(1, {3: row})
+        rib.take_changes(3)
+        rib.replace_neighbor_table(1, {3: row})
+        assert not rib.apply_update(1, row)
+        assert not rib.withdraw(1, 4)
+        assert rib.take_changes(3) == set()
+
+    def test_replacement_records_dropped_rows(self):
+        rib = AdjRIBIn()
+        rib.replace_neighbor_table(1, {3: advert(1, 3, (1, 3)), 4: advert(1, 4, (1, 4))})
+        rib.clear_changes()
+        assert rib.replace_neighbor_table(1, {3: advert(1, 3, (1, 3))}) == {4}
+        assert rib.take_changes(3) == set()
+        assert rib.take_changes(4) == {1}
+
+    def test_mark_all_changed_survives_later_writes(self):
+        rib = AdjRIBIn()
+        rib.replace_neighbor_table(1, {3: advert(1, 3, (1, 3))})
+        rib.mark_all_changed([3])
+        rib.apply_update(2, advert(2, 3, (2, 3)))
+        assert rib.take_changes(3) is None  # every neighbor
+        assert rib.take_changes(3) == set()

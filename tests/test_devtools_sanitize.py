@@ -3,8 +3,8 @@
 The contract under test is two-sided: clean protocol runs sail through
 with the sanitizer on, and each *seeded corruption* -- a negative price,
 an off-path price entry, an identity violation, a mutated path tuple, a
-non-optimal LCP, a broken precondition, a non-monotone stage -- trips
-exactly its check.  The toggle mechanics (env var, enable/disable, the
+non-optimal LCP, a broken precondition, a non-monotone stage, a change
+record that misses a row -- trips exactly its check.  The toggle mechanics (env var, enable/disable, the
 ``sanitized`` context manager, zero checks when off) are pinned as well.
 """
 
@@ -17,7 +17,10 @@ from pathlib import Path
 
 import pytest
 
+from repro import api
+from repro.bgp.messages import RouteAdvertisement, RouteDelta
 from repro.bgp.table import RouteEntry
+from repro.core.price_node import PriceComputingNode
 from repro.core.protocol import distributed_mechanism, verify_against_centralized
 from repro.devtools import sanitize
 from repro.exceptions import SanitizerError
@@ -347,6 +350,96 @@ class TestMonotoneCheck:
             )
             with pytest.raises(SanitizerError, match="revisits a node"):
                 engine._sanitize_stage()
+
+
+class TestDecisionCheck:
+    """``[sanitize:decide]``: a change-driven ``decide(dirty)`` must
+    leave exactly what a full ``decide()`` leaves.  The seeded
+    corruption drops one (destination, neighbor) entry from the
+    Adj-RIB-In's change record."""
+
+    DEST = 9
+    #: via 1 costs 1.0 and wins; via 2 costs 2.0, via 3 costs 4.0
+    WORLD = {
+        1: RouteAdvertisement(1, 9, (1, 9), 0.0, {1: 1.0, 9: 1.0}),
+        2: RouteAdvertisement(2, 9, (2, 9), 0.0, {2: 2.0, 9: 1.0}),
+        3: RouteAdvertisement(3, 9, (3, 5, 9), 1.0, {3: 3.0, 5: 1.0, 9: 1.0}, {5: 2.0}),
+    }
+
+    def _node_after(self, neighbor, row, forget=None):
+        """A converged node that then receives *row* from *neighbor*;
+        returns it with the dirty set, minus the record entry
+        (DEST, *forget*) when given."""
+        node = PriceComputingNode(0, 2.0)
+        for sender, advert in self.WORLD.items():
+            node.receive_table(sender, [advert])
+        node.decide()
+        dirty = node.receive_delta(neighbor, RouteDelta(neighbor, (row,)))
+        if forget is not None:
+            node.rib_in._changes[self.DEST].discard(forget)
+        return node, dirty
+
+    def test_honest_dirty_decision_passes(self):
+        better = RouteAdvertisement(3, 9, (3, 9), 0.0, {3: 0.5, 9: 1.0})
+        node, dirty = self._node_after(3, better)
+        before = sanitize.checks_run()
+        with sanitize.sanitized():
+            node.decide(dirty)
+        assert sanitize.checks_run() > before
+        assert node.routes[self.DEST].path == (0, 3, 9)
+
+    def test_missed_better_route(self):
+        better = RouteAdvertisement(3, 9, (3, 9), 0.0, {3: 0.5, 9: 1.0})
+        node, dirty = self._node_after(3, better, forget=3)
+        with sanitize.sanitized(), pytest.raises(
+            SanitizerError,
+            match=r"\[sanitize:decide\] node 0: .* destination 9's route "
+            r"\(0, 1, 9\) at cost 1.0 -> \(0, 3, 9\) at cost 0.5; .* neighbor 3's",
+        ):
+            node.decide(dirty)
+
+    def test_missed_change_to_the_routes_own_neighbor(self):
+        worse = RouteAdvertisement(1, 9, (1, 9), 0.0, {1: 5.0, 9: 1.0})
+        node, dirty = self._node_after(1, worse, forget=1)
+        with sanitize.sanitized(), pytest.raises(
+            SanitizerError, match=r"\[sanitize:decide\] .* -> \(0, 2, 9\) .* neighbor 1's"
+        ):
+            node.decide(dirty)
+
+    def test_missed_price_candidate(self):
+        # the route stands; only the price row misses neighbor 3's
+        # cheaper detour around transit node 1
+        cheaper = RouteAdvertisement(3, 9, (3, 9), 0.0, {3: 1.5, 9: 1.0})
+        node, dirty = self._node_after(3, cheaper, forget=3)
+        with sanitize.sanitized(), pytest.raises(
+            SanitizerError,
+            match=r"\[sanitize:decide\] .* price row \{1: 2.0\} -> \{1: 1.5\}; .* neighbor 3's",
+        ):
+            node.decide(dirty)
+
+    def test_unchecked_when_off(self):
+        better = RouteAdvertisement(3, 9, (3, 9), 0.0, {3: 0.5, 9: 1.0})
+        node, dirty = self._node_after(3, better, forget=3)
+        node.decide(dirty)  # no full decision behind it: the miss stands
+        assert node.routes[self.DEST].path == (0, 1, 9)
+
+    def test_sanitized_engines_check_dirty_decisions(self, fig1, monkeypatch):
+        checked = []
+        original = sanitize.check_decision
+
+        def counting(node):
+            checked.append(node.node_id)
+            original(node)
+
+        monkeypatch.setattr(sanitize, "check_decision", counting)
+        with sanitize.sanitized():
+            for asynchronous in (False, True):
+                checked.clear()
+                api.run(fig1, asynchronous=asynchronous)
+                assert checked
+            checked.clear()
+            api.run(fig1, protocol="timed")
+            assert checked
 
 
 class TestDistributedResultCheck:
