@@ -21,9 +21,8 @@ analyze:
 test:
 	$(PYTHON) -m pytest -x -q
 
-# the suite with DeprecationWarning promoted to an error: internal code
-# (and every test except the wrappers' own pytest.deprecated_call
-# blocks) must not touch the shims it deprecates
+# the suite with DeprecationWarning promoted to an error: no code the
+# suite runs may call a deprecated API
 test-deprecations:
 	$(PYTHON) -m pytest -x -q -W error::DeprecationWarning
 
@@ -40,7 +39,7 @@ test-engines:
 	REPRO_SANITIZE=1 $(PYTHON) -m pytest -x -q \
 		tests/test_engine_differential.py \
 		tests/test_golden_engines.py \
-		tests/test_engine_parallel.py \
+		tests/test_flat_parallel.py \
 		tests/test_engine_registry.py \
 		tests/test_canonical_forest.py
 

@@ -3,21 +3,20 @@
 The ``flat`` engine is the scaling backend for the Theorem 1 price
 sweep: one-shot CSR build, O(deg(k)) in-place masking for ``G - k``,
 vectorized route inversion, demand-restricted and symmetry-oriented
-Dijkstra batches, array-native price evaluation; ``flat-parallel``
-shards the same sweep across worker processes over shared memory.
+Dijkstra batches, array-native price evaluation; with ``workers > 1``
+it shards the same sweep across worker processes over shared memory.
 This benchmark pins the claims that justify both, and fails (non-zero
 exit) if any regresses:
 
 1. **Identity** (phase ``identity``).  At n <= 200 the flat table must
-   match the reference engine (n = 128) and the legacy vectorized
-   sweep (n = 200): identical ``(pair, transit)`` key sets, every
-   price within ``costs_close``.
+   match the reference engine (n = 128) and the legacy k-major sweep
+   frozen below (n = 200): identical ``(pair, transit)`` key sets,
+   every price within ``costs_close``.
 
 2. **Speed** (phase ``speedup``).  At n = 500 the flat sweep must
    price the table at least ``SPEEDUP_FLOOR`` (5x) faster than the
-   legacy vectorized ``vcg_price_rows`` path, with the canonical
-   routes precomputed and shared so only the avoiding sweeps are
-   compared.
+   legacy ``vcg_price_rows`` sweep, with the canonical routes
+   precomputed and shared so only the avoiding sweeps are compared.
 
 3. **Memory** (phase ``memory``).  At n = 1000 (ISP-like scaling
    preset) the dict-materializing sweep must complete with a
@@ -58,7 +57,8 @@ assertion on identity, worker parity, and the demand accounting.
 This module must stay importable with the baseline toolchain only (in
 particular: no module-level scipy or numpy) -- ``repro.devtools.check``
 enforces that for the whole benchmarks/ directory; the engine imports
-below pull scipy in lazily at call time instead.
+and the frozen legacy sweep below pull them in lazily at call time
+instead.
 """
 
 from __future__ import annotations
@@ -69,8 +69,10 @@ import os
 import resource
 import time
 import tracemalloc
-from typing import Any, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.exceptions import EngineError, MechanismError, NotBiconnectedError
+from repro.graphs.asgraph import ASGraph
 from repro.graphs.generators import (
     SCALING_PRESETS,
     integer_costs,
@@ -78,9 +80,16 @@ from repro.graphs.generators import (
     scaling_graph,
     uniform_costs,
 )
-from repro.types import costs_close
+from repro.types import Cost, NodeId, costs_close
 
-#: The acceptance bar: flat sweep vs legacy vectorized sweep at n = 500.
+if TYPE_CHECKING:  # annotations only; numpy/scipy load at call time
+    import numpy as np
+    from scipy.sparse import csr_matrix
+
+    from repro.mechanism.vcg import PriceRow
+    from repro.routing.allpairs import AllPairsRoutes
+
+#: The acceptance bar: flat sweep vs the legacy k-major sweep at n = 500.
 SPEEDUP_FLOOR = 5.0
 
 #: The acceptance bar: 4-worker array-native sharded sweep vs the
@@ -134,11 +143,192 @@ def _peak_rss_bytes() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
 
 
+# ----------------------------------------------------------------------
+# Frozen baseline: the legacy k-major vectorized sweep.  One all-sources
+# csgraph Dijkstra on a freshly built ``G - k`` CSR matrix per distinct
+# transit node, dense detour matrices, per-entry Python stamping.  Kept
+# verbatim (numpy/scipy imported at call time) as the reference point
+# of the identity and >= 5x speedup gates; nothing in the library calls
+# it.
+# ----------------------------------------------------------------------
+def _directed_weight_matrix(
+    graph: ASGraph,
+    skip: Optional[NodeId] = None,
+) -> Tuple[csr_matrix, np.ndarray, Dict[NodeId, int]]:
+    """The ``w(u -> v) = c_v`` reduction as a CSR matrix.
+
+    Zero node costs become *stored* zeros, which ``csgraph`` routines
+    honor as zero-weight edges for sparse input; the construction is
+    guarded so that a dropped zero (e.g. a future scipy calling
+    ``eliminate_zeros`` internally) raises :class:`EngineError` instead
+    of silently reporting the edge as absent.  *skip* omits one node
+    entirely, implementing ``G - k``.
+    """
+    import numpy as np
+    from scipy.sparse import csr_matrix
+
+    index = graph.index_of()
+    n = graph.num_nodes
+    costs = np.empty(n, dtype=float)
+    for node, i in index.items():
+        costs[i] = graph.cost(node)
+    rows: List[int] = []
+    cols: List[int] = []
+    data: List[Cost] = []
+    for u, v in graph.edges:
+        if skip is not None and skip in (u, v):
+            continue
+        ui, vi = index[u], index[v]
+        rows.append(ui)
+        cols.append(vi)
+        data.append(costs[vi])
+        rows.append(vi)
+        cols.append(ui)
+        data.append(costs[ui])
+    matrix = csr_matrix((data, (rows, cols)), shape=(n, n))
+    if matrix.nnz != len(data):
+        raise EngineError(
+            "CSR construction dropped stored entries "
+            f"({matrix.nnz} kept of {len(data)}); zero-cost nodes would "
+            "no longer round-trip exactly"
+        )
+    return matrix, costs, index
+
+
+def avoiding_costs_matrix(graph: ASGraph, k: NodeId) -> Tuple[np.ndarray, Dict[NodeId, int]]:
+    """Transit-cost matrix of ``G - k`` (``inf`` where disconnected).
+
+    Row/column of ``k`` itself are ``inf`` (excluding the diagonal).
+    """
+    import numpy as np
+    from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
+
+    pruned, costs, index = _directed_weight_matrix(graph, skip=k)
+    ki = index[k]
+    dist = _csgraph_dijkstra(pruned, directed=True, return_predecessors=False)
+    transit = dist - costs[np.newaxis, :]
+    np.fill_diagonal(transit, 0.0)
+    transit[ki, :] = np.inf
+    transit[:, ki] = np.inf
+    return transit, index
+
+
+def vcg_price_rows(
+    graph: ASGraph,
+    routes: Optional["AllPairsRoutes"] = None,
+) -> Dict[Tuple[NodeId, NodeId], "PriceRow"]:
+    """Theorem 1 price rows with the k-avoiding sweep vectorized.
+
+    Path *selection* (which ``k`` is transit on which selected LCP)
+    still comes from the canonical tie-broken routes -- prices are only
+    defined relative to them -- but both cost terms of
+    ``p^k_ij = c_k + Cost(P_{-k}(c; i, j)) - Cost(P(c; i, j))`` are read
+    from ``csgraph`` distance matrices: one all-sources Dijkstra on
+    ``G - k`` per *distinct* transit node ``k`` replaces the
+    per-(destination, k) pure-Python sweep.  Returns the same
+    ``(source, destination) -> {k: price}`` mapping that
+    :func:`repro.mechanism.vcg.compute_price_table` stores (direct-link
+    pairs omitted).
+
+    The sweep runs **k-major**: the canonical routes are first inverted
+    into the demanded entries per transit node, then each distinct
+    ``k``'s dense detour matrix is computed *once*, consumed, and
+    dropped.  Earlier revisions cached every matrix for the lifetime of
+    the call -- 8 n^2 bytes each times hundreds of distinct transit
+    nodes, O(n^3) memory, ~8 GB at n = 1000 -- whereas at most one
+    detour matrix is alive here.  Violations are checked per entry and
+    the earliest one *in the reference sweep's iteration order*
+    (destination ascending, source ascending, transit position along
+    the path) is raised with the reference's exact message, so error
+    semantics are unchanged even though the computation order is not.
+    """
+    import numpy as np
+
+    from repro.routing.allpairs import all_pairs_lcp
+
+    routes = routes if routes is not None else all_pairs_lcp(graph)
+    index = graph.index_of()
+    # Reference-order scan: stamp every demanded (i, j, k) entry with a
+    # global sequence number and bucket it under its transit node.  The
+    # LCP cost term comes from the routes (``tree.cost``), exactly as
+    # the reference sweep reads it.
+    pairs: List[Tuple[NodeId, NodeId, Tuple[NodeId, ...]]] = []
+    demand: Dict[NodeId, List[Tuple[int, int, int, Cost]]] = {}
+    sequence = 0
+    for destination in graph.nodes:
+        tree = routes.tree(destination)
+        dj = index[destination]
+        for source in tree.sources():
+            path = tree.path(source)
+            if len(path) == 2:
+                continue  # direct link: no transit nodes, no prices
+            si = index[source]
+            lcp_cost = tree.cost(source)
+            transit = path[1:-1]
+            pairs.append((source, destination, transit))
+            for k in transit:
+                demand.setdefault(k, []).append((sequence, si, dj, lcp_cost))
+                sequence += 1
+
+    prices = np.empty(sequence, dtype=np.float64)
+    #: (sequence, kind, k, source, destination, price); kind 0 =
+    #: infinite detour, 1 = negative price.  The minimum sequence is
+    #: the witness the reference sweep raises first.
+    first_violation: Optional[Tuple[int, int, NodeId, NodeId, NodeId, float]] = None
+    node_ids = graph.nodes
+    for k in sorted(demand):
+        detours, _ = avoiding_costs_matrix(graph, k)
+        entries = np.asarray([e[:3] for e in demand[k]], dtype=np.int64)
+        lcp = np.asarray([e[3] for e in demand[k]], dtype=np.float64)
+        seq, si, dj = entries[:, 0], entries[:, 1], entries[:, 2]
+        detour = detours[si, dj]
+        entry_prices = graph.cost(k) + detour - lcp
+        prices[seq] = entry_prices
+        infinite = ~np.isfinite(detour)
+        negative = ~infinite & (entry_prices < -1e-9)
+        if infinite.any() or negative.any():
+            bad = np.flatnonzero(infinite | negative)
+            at = bad[np.argmin(seq[bad])]
+            candidate = (
+                int(seq[at]),
+                0 if infinite[at] else 1,
+                k,
+                node_ids[int(si[at])],
+                node_ids[int(dj[at])],
+                float(entry_prices[at]),
+            )
+            if first_violation is None or candidate[0] < first_violation[0]:
+                first_violation = candidate
+
+    if first_violation is not None:
+        _sequence, kind, k, source, destination, price = first_violation
+        if kind == 0:
+            raise NotBiconnectedError(
+                message=(
+                    f"price p^{k}_{{{source},{destination}}} undefined: "
+                    f"no {k}-avoiding path (graph not biconnected)"
+                )
+            )
+        raise MechanismError(
+            f"negative VCG price {price} for k={k}, pair "
+            f"({source}, {destination}); avoiding cost below LCP cost"
+        )
+
+    rows: Dict[Tuple[NodeId, NodeId], Dict[NodeId, Cost]] = {}
+    position = 0
+    for source, destination, transit in pairs:
+        row: Dict[NodeId, Cost] = {}
+        for offset, k in enumerate(transit):
+            row[k] = float(prices[position + offset])
+        position += len(transit)
+        rows[(source, destination)] = row
+    return rows
+
+
 def run_identity_phase() -> Dict[str, Any]:
     from repro.routing.allpairs import all_pairs_lcp
     from repro.routing.engines import get_engine
     from repro.routing.engines.flat import flat_price_rows
-    from repro.routing.engines.vectorized import vcg_price_rows
 
     problems: List[str] = []
 
@@ -153,7 +343,7 @@ def run_identity_phase() -> Dict[str, Any]:
         f"reference n={IDENTITY_REFERENCE_N}: {p}"
         for p in _tables_agree(reference_table.rows, flat_table.rows)
     ]
-    sharded_table = get_engine("flat-parallel", workers=2).price_table(
+    sharded_table = get_engine("flat", workers=2).price_table(
         reference_graph, routes=reference_table.routes
     )
     problems += [
@@ -184,7 +374,6 @@ def run_identity_phase() -> Dict[str, Any]:
 def run_speedup_phase(n: int) -> Dict[str, Any]:
     from repro.routing.allpairs import all_pairs_lcp
     from repro.routing.engines.flat import FlatSweepStats, flat_price_rows
-    from repro.routing.engines.vectorized import vcg_price_rows
 
     graph = isp_like_graph(n, seed=0, cost_sampler=integer_costs(1, 6))
     # Shared, precomputed routes: path selection is identical work for
@@ -266,8 +455,9 @@ def run_parallel_phase(quick: bool = False) -> Dict[str, Any]:
 
     The baseline is what the ``flat`` engine delivers -- the
     dict-materializing :func:`flat_price_rows` -- and the contenders
-    are what ``flat-parallel`` delivers: :func:`flat_price_arrays`
-    with 1/2/4 workers, no per-entry Python assembly.  Canonical
+    are the array-native sweep ``FlatEngine(workers=...)`` runs,
+    :func:`flat_price_arrays` with 1/2/4 workers, with no per-entry
+    Python assembly.  Canonical
     routes are precomputed and shared so route selection is out of the
     comparison, and prices must be bit-identical across all worker
     counts.
@@ -331,7 +521,7 @@ def run_parallel_phase(quick: bool = False) -> Dict[str, Any]:
         "prices_identical_across_workers": identical,
         "note": (
             "baseline is the flat engine's dict deliverable; contenders are "
-            "the flat-parallel engine's array deliverable (sweep + assembly "
+            "the flat engine's array sweep per worker count (sweep + assembly "
             "both counted, shared precomputed routes)"
         ),
     }
@@ -594,7 +784,6 @@ def test_bench_flat_sweep(benchmark):
 
     from repro.routing.allpairs import all_pairs_lcp
     from repro.routing.engines.flat import FlatSweepStats, flat_price_rows
-    from repro.routing.engines.vectorized import vcg_price_rows
     from repro.routing.flatsweep import flat_price_arrays
 
     graph = isp_like_graph(96, seed=0, cost_sampler=integer_costs(1, 6))

@@ -39,8 +39,8 @@ def isp32():
 @pytest.fixture(scope="session")
 def isp100():
     """The engine-comparison instance: all-pairs prices at n = 100 are
-    expensive enough (seconds, pure Python) for parallel/vectorized
-    engines to show real wall-clock separation."""
+    expensive enough (seconds, pure Python) for the flat engine to show
+    real wall-clock separation."""
     return isp_like_graph(100, seed=0, cost_sampler=integer_costs(1, 6))
 
 

@@ -40,7 +40,6 @@ from repro.core.price_node import PriceComputingNode, UpdateMode
 from repro.core.protocol import (
     DistributedPriceResult,
     distributed_mechanism,
-    run_distributed_mechanism,
     verify_against_centralized,
 )
 from repro.core.run import run
@@ -67,7 +66,6 @@ __all__ = [
     "distributed_mechanism",
     "fig1_graph",
     "run",
-    "run_distributed_mechanism",
     "vcg_price",
     "verify_against_centralized",
     "__version__",

@@ -4,7 +4,7 @@ Subcommands::
 
     repro-cli list                          # show experiment ids
     repro-cli engines                       # show registered engines
-    repro-cli run E5 [--scale full] [--engine parallel] [--protocol full] [--trace out.jsonl]
+    repro-cli run E5 [--scale full] [--engine flat] [--protocol full] [--trace out.jsonl]
     repro-cli all [--scale full] [--write-md EXPERIMENTS.md] [--trace out.jsonl]
     repro-cli trace summarize out.jsonl     # paper measures from a trace
     repro-cli trace validate out.jsonl      # schema-check a trace file
@@ -24,7 +24,7 @@ from repro.exceptions import TraceError
 from repro.experiments.registry import list_experiments
 from repro.experiments.runner import run_all, run_experiment, write_experiments_md
 from repro.obs.trace import summarize_trace, summary_tables, validate_trace
-from repro.routing.engines import engine_names, get_engine
+from repro.routing.engines import engine_names
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -168,9 +168,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
     if args.command == "engines":
         for name in engine_names():
-            engine = get_engine(name)
-            paths = "paths" if engine.carries_paths else "cost-only"
-            print(f"{name:10s} {paths}")
+            print(name)
         return 0
     if args.command == "trace":
         return _trace_command(args.action, args.path)

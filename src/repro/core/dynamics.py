@@ -10,7 +10,6 @@ records the reconvergence stages next to the new instance's
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
@@ -281,24 +280,3 @@ def _epoch(
         bound=convergence_bound(graph),
         verification=verification,
     )
-
-
-def _warn_renamed(old: str, new: str) -> None:
-    warnings.warn(
-        f"{old} is deprecated; call repro.api.run(...) or "
-        f"repro.core.dynamics.{new} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def run_dynamic_scenario(*args, **kwargs) -> DynamicsRun:
-    """Deprecated alias for :func:`dynamic_scenario`."""
-    _warn_renamed("run_dynamic_scenario", "dynamic_scenario")
-    return dynamic_scenario(*args, **kwargs)
-
-
-def run_timed_scenario(*args, **kwargs) -> TimedScenarioResult:
-    """Deprecated alias for :func:`timed_scenario`."""
-    _warn_renamed("run_timed_scenario", "timed_scenario")
-    return timed_scenario(*args, **kwargs)

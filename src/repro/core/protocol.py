@@ -8,14 +8,11 @@ unified dispatcher :func:`repro.core.run.run`.
 :func:`verify_against_centralized` compares every route and every price
 against the centralized Theorem 1 reference -- the end-to-end
 correctness statement of the reproduction.
-
-The historical ``run_*`` names remain as thin deprecated wrappers.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -306,24 +303,3 @@ def verify_against_centralized(
                         Mismatch("price", source, destination, k, actual, expected)
                     )
     return report
-
-
-def _warn_renamed(old: str, new: str) -> None:
-    warnings.warn(
-        f"{old} is deprecated; call repro.api.run(...) or "
-        f"repro.core.protocol.{new} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def run_distributed_mechanism(*args, **kwargs) -> DistributedPriceResult:
-    """Deprecated alias for :func:`distributed_mechanism`."""
-    _warn_renamed("run_distributed_mechanism", "distributed_mechanism")
-    return distributed_mechanism(*args, **kwargs)
-
-
-def run_timed_mechanism(*args, **kwargs) -> DistributedPriceResult:
-    """Deprecated alias for :func:`timed_mechanism`."""
-    _warn_renamed("run_timed_mechanism", "timed_mechanism")
-    return timed_mechanism(*args, **kwargs)

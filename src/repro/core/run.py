@@ -1,12 +1,13 @@
 """The unified entry point: one ``run()`` for every protocol flavor.
 
-Historically the library grew four parallel runners --
-``run_distributed_mechanism`` (staged/asynchronous, no events),
-``run_dynamic_scenario`` (staged + scripted events),
-``run_timed_mechanism`` (discrete-event substrate, no events), and
-``run_timed_scenario`` (discrete-event + scheduled events).  They are
-four cells of one 2x2 grid (substrate x events), so :func:`run`
-dispatches on exactly those two axes:
+Distributed runs come in four shapes -- staged or asynchronous without
+events (:func:`~repro.core.protocol.distributed_mechanism`), staged
+with scripted events (:func:`~repro.core.dynamics.dynamic_scenario`),
+discrete-event without events
+(:func:`~repro.core.protocol.timed_mechanism`), and discrete-event
+with scheduled events (:func:`~repro.core.dynamics.timed_scenario`).
+They are four cells of one 2x2 grid (substrate x events), so
+:func:`run` dispatches on exactly those two axes:
 
 * ``protocol`` picks the substrate: ``"delta"`` (staged engine,
   incremental row transport -- the default), ``"full"`` (staged engine,
@@ -17,11 +18,11 @@ dispatches on exactly those two axes:
   (staged) or ``(virtual_time, event)`` pairs (timed) drives the
   Sect. 6 dynamics.
 
-The return type is the matching report of the legacy entry point --
+The return type is the matching runner's report --
 :class:`~repro.core.protocol.DistributedPriceResult`,
 :class:`~repro.core.dynamics.DynamicsRun`, or
 :class:`~repro.core.dynamics.TimedScenarioResult` -- byte-for-byte
-identical to what the old name would have produced, which is what
+identical to what that runner produces, which is what
 ``tests/test_api_run.py`` asserts.
 
 Keyword knobs that only exist on one substrate are validated here, so a

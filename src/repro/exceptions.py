@@ -85,9 +85,10 @@ class EngineError(ReproError):
     """A routing/pricing engine was misused or misconfigured.
 
     Raised for unknown engine names in the
-    :mod:`repro.routing.engines` registry, for capability mismatches
-    (e.g. asking a cost-only engine for selected paths), and for
-    invalid worker-pool configuration of the parallel engine.
+    :mod:`repro.routing.engines` registry, for invalid worker or shard
+    counts of the flat sweep, and for sweep inputs it cannot price
+    (shards that do not partition the demand, a CSR build that dropped
+    stored zeros).
     """
 
 

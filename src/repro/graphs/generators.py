@@ -337,7 +337,7 @@ FAMILIES: Dict[str, Callable[..., ASGraph]] = {
 
 #: Node counts of the shared large-instance presets.  The n = 10000
 #: entries are the internet-scale floor of the ROADMAP's policy-topology
-#: item; the flat-parallel sweep is the only engine expected to price
+#: item; the flat engine's sweep is the only one expected to price
 #: them end-to-end.
 SCALING_SIZES: Tuple[int, ...] = (1000, 2000, 5000, 10000)
 

@@ -120,11 +120,12 @@ def compute_price_table(
     :func:`repro.routing.allpairs.all_pairs_lcp`):
 
     *engine* selects a registered backend by name or instance from
-    :mod:`repro.routing.engines` -- ``"scipy"`` vectorizes the avoiding
-    sweep, ``"parallel"`` shards destinations over worker processes.
-    The default (``None`` or ``"reference"``) is the serial reference
-    loop below; every engine returns identical tables per the
-    differential test harness.
+    :mod:`repro.routing.engines` -- ``"flat"`` runs the batched,
+    demand-restricted sweep (``get_engine("flat", workers=4)`` shards
+    it over worker processes), ``"incremental"`` warm-starts from a
+    previous graph.  The default (``None`` or ``"reference"``) is the
+    serial reference loop below; every engine returns the same table
+    per the differential test harness.
 
     *sanitize* overrides the global sanitizer toggle for this call:
     ``True`` forces :func:`repro.devtools.sanitize.check_price_table`

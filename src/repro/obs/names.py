@@ -23,16 +23,13 @@ metric                     kind     paper measure
 
 Engine-level metrics (the ROADMAP's production-scaling story):
 
-``engine.workers`` / ``engine.shards`` / ``engine.shard.size`` gauge the
-parallel engine's sharding (shard-size balance is the worker-utilization
-proxy: round-robin shards of near-equal size keep every worker busy),
-and ``mechanism.price_rows`` counts price-row throughput per engine.
+``mechanism.price_rows`` counts price-row throughput per engine.
 The flat engine's demand-restricted sweep is accounted by
 ``routing.flat.{solves,rows,masked}`` (masked Dijkstra calls, distance
 rows computed, stored CSR entries masked in place) plus
 ``routing.flat.{workers,shards}`` (the sweep's process/shard layout;
-1/1 for the inline ``flat`` engine, the pool geometry for
-``flat-parallel``).  Their canonical route build is accounted by
+1/1 inline, the pool geometry under ``workers > 1``).  Its canonical
+route build is accounted by
 ``routing.forest.{blocks,fallbacks}`` (batched scipy solves, and
 destinations whose ties forced the exact reference kernel).
 
@@ -68,9 +65,6 @@ TIMED_MRAI_FLUSHES = "bgp.timed.mrai.flushes"
 TIMED_MRAI_COALESCED = "bgp.timed.mrai.rows_coalesced"
 
 # -- engine-level metrics ----------------------------------------------
-ENGINE_WORKERS = "engine.workers"
-ENGINE_SHARDS = "engine.shards"
-ENGINE_SHARD_SIZE = "engine.shard.size"
 PRICE_ROWS = "mechanism.price_rows"
 ROUTE_TREES = "routing.route_trees"
 
@@ -83,11 +77,11 @@ FLAT_SOLVES = "routing.flat.solves"
 FLAT_ROWS = "routing.flat.rows"
 FLAT_MASKED = "routing.flat.masked"
 # workers/shards: the sweep's process/shard layout (1/1 inline; the
-# shared-memory pool geometry under the flat-parallel engine).
+# shared-memory pool geometry under FlatEngine(workers > 1)).
 FLAT_WORKERS = "routing.flat.workers"
 FLAT_SHARDS = "routing.flat.shards"
 
-# -- canonical forest build (flat engines' all_pairs) --------------------
+# -- canonical forest build (the flat engine's all_pairs) ---------------
 # blocks: batched scipy distance solves; fallbacks: destinations whose
 # ties (or near-ties) the distances could not resolve, rebuilt by the
 # reference Dijkstra kernel.

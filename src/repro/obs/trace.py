@@ -117,7 +117,7 @@ class TraceSummary:
     #: whether the trace recorded any ``routing.cache.*`` counter at
     #: all (an all-miss cold run still reports zeros in the summary).
     cache_seen: bool = False
-    #: ``routing.flat.*`` totals (flat / flat-parallel engines): masked
+    #: ``routing.flat.*`` totals (the flat engine's sweep): masked
     #: Dijkstra solves, distance rows computed, stored entries masked,
     #: and the sweep's worker/shard layout.
     flat_solves: int = 0
@@ -127,7 +127,7 @@ class TraceSummary:
     flat_shards: int = 0
     #: whether the trace recorded the flat sweep at all.
     flat_seen: bool = False
-    #: ``routing.forest.*`` totals (flat engines' canonical route
+    #: ``routing.forest.*`` totals (the flat engine's canonical route
     #: build): batched scipy solves, and destinations whose ties forced
     #: the exact reference kernel.
     forest_blocks: int = 0

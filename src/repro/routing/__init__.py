@@ -18,15 +18,13 @@ Key modules:
   Dijkstra producing a :class:`~repro.routing.dijkstra.RouteTree`.
 * :mod:`repro.routing.allpairs` -- all-pairs routes (n trees).
 * :mod:`repro.routing.forest` -- the same n trees, bit-identical, built
-  in batches from scipy distances (the ``flat`` engines' routes).
+  in batches from scipy distances (the ``flat`` engine's routes).
 * :mod:`repro.routing.avoiding` -- lowest-cost k-avoiding paths, the
   second ingredient of the VCG price.
 * :mod:`repro.routing.engines` -- the unified engine registry
-  (``reference`` | ``scipy`` | ``parallel``) behind the ``engine=``
+  (``reference`` | ``flat`` | ``incremental``) behind the ``engine=``
   parameter of :func:`all_pairs_lcp` and
-  :func:`repro.mechanism.vcg.compute_price_table`; the vectorized
-  cost-only entry points live in
-  :mod:`repro.routing.engines.vectorized`.
+  :func:`repro.mechanism.vcg.compute_price_table`.
 """
 
 from repro.routing.allpairs import AllPairsRoutes, all_pairs_lcp

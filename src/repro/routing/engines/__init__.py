@@ -4,16 +4,17 @@ Every backend that can answer "all selected LCPs" / "all Theorem 1
 prices" for an :class:`~repro.graphs.asgraph.ASGraph` registers here
 under a stable name:
 
-============= =========================================== ==============
-name          backend                                     carries paths
-============= =========================================== ==============
-reference     serial pure Python (semantics-defining)     yes
-scipy         vectorized ``scipy.sparse.csgraph``         no (cost-only)
-flat          canonical forest + flat-CSR price sweep     yes
-flat-parallel flat sweep sharded over shared memory       yes
-parallel      multiprocessing shards of destinations      yes
-incremental   epoch-cached warm-start (stateful)          yes
-============= =========================================== ==============
+=========== =============================================================
+name        backend
+=========== =============================================================
+reference   serial pure Python (semantics-defining)
+flat        canonical forest + flat-CSR price sweep (``workers=`` shards
+            the sweep over a shared-memory process pool)
+incremental epoch-cached warm-start (stateful)
+=========== =============================================================
+
+Every engine returns the canonical routes, so all three answer
+``all_pairs``, ``price_table`` and ``cost_matrix``.
 
 Callers select an engine by name through the ``engine=`` parameter of
 :func:`repro.routing.allpairs.all_pairs_lcp` and
@@ -32,16 +33,8 @@ from typing import Any, Callable, Dict, List, Tuple, Type, Union, cast
 from repro.exceptions import EngineError
 from repro.routing.engines.base import CostMatrix, Engine
 from repro.routing.engines.flat import FlatEngine, FlatSweepStats, flat_price_rows
-from repro.routing.engines.flat_parallel import FlatParallelEngine
 from repro.routing.engines.incremental import CacheStats, IncrementalEngine
-from repro.routing.engines.parallel import (
-    ParallelEngine,
-    all_pairs_sharded,
-    price_table_sharded,
-    shard_destinations,
-)
 from repro.routing.engines.reference import ReferenceEngine
-from repro.routing.engines.vectorized import ScipyEngine
 
 __all__ = [
     "CacheStats",
@@ -49,20 +42,14 @@ __all__ = [
     "Engine",
     "EngineSpec",
     "FlatEngine",
-    "FlatParallelEngine",
     "FlatSweepStats",
     "IncrementalEngine",
-    "ParallelEngine",
     "ReferenceEngine",
-    "ScipyEngine",
-    "all_pairs_sharded",
     "engine_names",
     "flat_price_rows",
     "get_engine",
-    "price_table_sharded",
     "register",
     "resolve_engine",
-    "shard_destinations",
 ]
 
 #: A caller-facing engine selector: a registry name or an instance.
@@ -98,7 +85,7 @@ def get_engine(name: str, **options: Any) -> Engine:
     """Instantiate a registered engine by name.
 
     *options* are forwarded to the engine constructor (e.g.
-    ``get_engine("parallel", workers=2)``).
+    ``get_engine("flat", workers=2)``).
     """
     try:
         engine_class = _REGISTRY[name]
@@ -118,8 +105,5 @@ def resolve_engine(engine: EngineSpec) -> Engine:
 
 
 register(ReferenceEngine)
-register(ScipyEngine)
 register(FlatEngine)
-register(FlatParallelEngine)
-register(ParallelEngine)
 register(IncrementalEngine)

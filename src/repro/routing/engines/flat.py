@@ -43,17 +43,29 @@ thousand:
    the first one wins, so differential tests see identical error
    classes and messages.
 
-The sweep itself lives in :mod:`repro.routing.flatsweep` and is shared
-with :class:`~repro.routing.engines.flat_parallel.FlatParallelEngine`,
-which runs the same per-transit-node groups sharded across worker
-processes over shared memory.
+The sweep itself lives in :mod:`repro.routing.flatsweep`.  Its
+per-transit-node groups are independent -- each masks its own ``G - k``
+and prices its own demand slice -- so ``FlatEngine(workers=w)`` with
+``w > 1`` shards them round-robin over a forked pool of ``w``
+processes (``4 * w`` shards, to balance the skewed per-``k`` demand of
+ISP-like cores).  The CSR reduction, the pre-gathered demand columns
+and the output price array live in ``multiprocessing.shared_memory``
+segments; workers attach zero-copy, keep a *private* scratch copy of
+the one array masking mutates (the edge-weight column), and write
+their groups' prices into disjoint slices of the shared output.  Each
+entry's slice position encodes the reference scan order and the
+globally minimal-sequence violation is raised, so tables *and* errors
+are bit-identical for every worker count and shard order
+(``tests/test_flat_parallel.py`` pins this).  The default
+``workers=1`` prices inline as one shard, with no pool and no shared
+memory.
 
 Observability: an observed run counts ``routing.flat.solves`` (masked
 Dijkstra calls, one per distinct transit node), ``routing.flat.rows``
 (distance rows actually computed -- the demand-restriction win),
 ``routing.flat.masked`` (stored entries masked across all solves), and
 ``routing.flat.workers`` / ``routing.flat.shards`` (the sweep's
-process/shard layout; 1/1 for this engine), and its route build counts
+process/shard layout; 1/1 inline), and its route build counts
 ``routing.forest.blocks`` (batched scipy solves) and
 ``routing.forest.fallbacks`` (destinations whose ties forced the
 reference kernel), alongside the standard engine span/counter surface.
@@ -63,18 +75,14 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, ClassVar, Dict, Optional, Tuple
 
-import numpy as np
-
 import repro.obs as obs_mod
 from repro.devtools import sanitize
-from repro.exceptions import DisconnectedGraphError
+from repro.exceptions import EngineError
 from repro.graphs.asgraph import ASGraph
 from repro.obs import names as metric_names
-from repro.routing.engines.base import CostMatrix, Engine
-from repro.routing.flatgraph import build_flat_graph
+from repro.routing.engines.base import Engine
 from repro.routing.flatsweep import (
     _NEGATIVE_PRICE_EPS,  # noqa: F401  (re-export: tests pin the literal)
-    FlatPriceArrays,
     FlatSweepStats,
     flat_price_arrays,
 )
@@ -86,6 +94,10 @@ if TYPE_CHECKING:  # pragma: no cover - import-light at runtime
     from repro.routing.allpairs import AllPairsRoutes
 
 __all__ = ["FlatEngine", "FlatSweepStats", "flat_price_rows"]
+
+#: Transit-node shards per worker on the pooled sweep: finer shards
+#: balance skewed per-``k`` demand at slightly higher dispatch cost.
+_SHARDS_PER_WORKER = 4
 
 
 def flat_price_rows(
@@ -107,15 +119,27 @@ def flat_price_rows(
 
 
 class FlatEngine(Engine):
-    """Flat-CSR path engine for large price tables."""
+    """Flat-CSR path engine for large price tables.
+
+    Parameters
+    ----------
+    workers:
+        Sweep processes.  ``1`` (the default) prices inline as one
+        shard; ``workers > 1`` runs the shared-memory pooled sweep over
+        ``4 * workers`` transit-node shards.  The output is identical
+        by construction and by property test.
+    """
 
     name: ClassVar[str] = "flat"
-    carries_paths: ClassVar[bool] = True
+
+    def __init__(self, workers: int = 1) -> None:
+        if workers < 1:
+            raise EngineError(f"worker count must be >= 1, got {workers}")
+        self.workers = workers
 
     # The forest build and the flat sweep produce their own counters, so
     # this engine manages the observer explicitly (same signatures as
-    # the reference engine, per the RPR009 contract) instead of using
-    # the base-class wrappers.
+    # the reference engine, per the RPR009 contract).
     def all_pairs(
         self,
         graph: ASGraph,
@@ -124,7 +148,7 @@ class FlatEngine(Engine):
     ) -> "AllPairsRoutes":
         observer = obs_mod.active(obs)
         if observer is None:
-            return self._all_pairs(graph)
+            return canonical_routes(graph)
         stats = ForestStats()
         with observer.span(metric_names.SPAN_ENGINE_ALL_PAIRS, engine=self.name):
             routes = canonical_routes(graph, stats=stats)
@@ -144,7 +168,7 @@ class FlatEngine(Engine):
     ) -> "PriceTable":
         observer = obs_mod.active(obs)
         if observer is None:
-            return self._price_table(graph, routes=routes)
+            return self._build_table(graph, routes, FlatSweepStats())
         stats = FlatSweepStats()
         with observer.span(metric_names.SPAN_ENGINE_PRICE_TABLE, engine=self.name):
             table = self._build_table(graph, routes, stats, obs=observer)
@@ -155,26 +179,6 @@ class FlatEngine(Engine):
         observer.count(metric_names.FLAT_WORKERS, stats.workers, engine=self.name)
         observer.count(metric_names.FLAT_SHARDS, stats.shards, engine=self.name)
         return table
-
-    def _all_pairs(self, graph: ASGraph) -> "AllPairsRoutes":
-        return canonical_routes(graph)
-
-    def _price_table(
-        self,
-        graph: ASGraph,
-        routes: Optional["AllPairsRoutes"] = None,
-    ) -> "PriceTable":
-        return self._build_table(graph, routes, FlatSweepStats())
-
-    def _price_arrays(
-        self,
-        graph: ASGraph,
-        routes: "AllPairsRoutes",
-        stats: FlatSweepStats,
-    ) -> FlatPriceArrays:
-        """The sweep itself; the parallel subclass reroutes this onto
-        its sharded worker pool."""
-        return flat_price_arrays(graph, routes, stats=stats)
 
     def _build_table(
         self,
@@ -190,21 +194,11 @@ class FlatEngine(Engine):
         # them exactly as it checks any other engine's.
         if routes is None:
             routes = all_pairs_lcp(graph, engine=self, obs=obs)
-        rows = self._price_arrays(graph, routes, stats).to_rows()
-        table = PriceTable(routes=routes, rows=rows)
+        shards = self.workers * _SHARDS_PER_WORKER if self.workers > 1 else 1
+        arrays = flat_price_arrays(
+            graph, routes, workers=self.workers, shards=shards, stats=stats
+        )
+        table = PriceTable(routes=routes, rows=arrays.to_rows())
         if sanitize.enabled():
             sanitize.check_price_table(graph, table)
         return table
-
-    def cost_matrix(self, graph: ASGraph) -> CostMatrix:
-        from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
-
-        flat = build_flat_graph(graph)
-        dist = _csgraph_dijkstra(
-            flat.matrix(), directed=True, return_predecessors=False
-        )
-        transit = dist - flat.costs[np.newaxis, :]
-        np.fill_diagonal(transit, 0.0)
-        if np.isinf(transit).any():
-            raise DisconnectedGraphError("graph is disconnected")
-        return CostMatrix(matrix=transit, index=flat.index)

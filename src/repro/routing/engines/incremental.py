@@ -421,7 +421,6 @@ class IncrementalEngine(Engine):
     """
 
     name: ClassVar[str] = "incremental"
-    carries_paths: ClassVar[bool] = True
 
     def __init__(self) -> None:
         self.stats = CacheStats()

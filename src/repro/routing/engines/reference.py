@@ -24,11 +24,10 @@ class ReferenceEngine(Engine):
     """Serial pure-Python engine; defines the canonical answers."""
 
     name: ClassVar[str] = "reference"
-    carries_paths: ClassVar[bool] = True
 
     # The reference code paths live in (and are instrumented by) the
     # routing/mechanism layers themselves, so this engine delegates
-    # *with* the observer instead of using the base-class wrappers --
+    # *with* the observer instead of opening its own engine spans --
     # otherwise every route tree and price row would be counted twice.
     def all_pairs(
         self,
@@ -50,17 +49,3 @@ class ReferenceEngine(Engine):
         from repro.mechanism.vcg import compute_price_table
 
         return compute_price_table(graph, routes=routes, obs=obs)
-
-    def _all_pairs(self, graph: ASGraph) -> "AllPairsRoutes":
-        from repro.routing.allpairs import all_pairs_lcp
-
-        return all_pairs_lcp(graph)
-
-    def _price_table(
-        self,
-        graph: ASGraph,
-        routes: Optional["AllPairsRoutes"] = None,
-    ) -> "PriceTable":
-        from repro.mechanism.vcg import compute_price_table
-
-        return compute_price_table(graph, routes=routes)

@@ -1,7 +1,7 @@
 """Flat CSR routing core: one-shot arrays, O(deg(k) + n) node masking.
 
-The vectorized engines reduce node-cost routing to directed edge
-weights ``w(u -> v) = c_v`` and hand the result to
+The flat engine reduces node-cost routing to directed edge weights
+``w(u -> v) = c_v`` and hands the result to
 ``scipy.sparse.csgraph``.  Before this module, that reduction was
 rebuilt from Python edge loops once *per transit node k* of the price
 sweep -- O(m) interpreter work times the number of distinct transit

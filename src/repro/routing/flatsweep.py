@@ -1,8 +1,8 @@
 """Vectorized demand inversion + shardable flat price sweep.
 
-This module is the shared core under the ``flat`` and ``flat-parallel``
-engines.  It owns the three scaling moves that take the Theorem 1 price
-sweep past n = 10,000:
+This module is the core of the ``flat`` engine, inline and pooled
+(``FlatEngine(workers=...)``).  It owns the three scaling moves that
+take the Theorem 1 price sweep past n = 10,000:
 
 1. **Vectorized inversion.**  The canonical routes -- given as
    :class:`~repro.routing.allpairs.AllPairsRoutes`, or read straight
@@ -33,13 +33,13 @@ sweep past n = 10,000:
    segments (zero copies per worker); each worker makes a *private*
    scratch copy of the edge-weight column -- the only array masking
    mutates -- and writes its groups' prices into disjoint slices of the
-   shared output.  The merge reuses the ``parallel`` engine's
-   discipline: per-shard results are aggregated deterministically and
-   the globally minimal-sequence violation is raised with the exact
-   reference error class and message, so output is invariant to worker
-   count and shard order.  Segments are unlinked in a ``finally`` block
-   and backstopped by an ``atexit`` hook, so interrupted runs do not
-   leak ``/dev/shm`` entries.
+   shared output.  The merge is order-insensitive: per-shard results
+   are aggregated deterministically and the globally minimal-sequence
+   violation is raised with the exact reference error class and
+   message, so output is invariant to worker count and shard order.
+   Segments are unlinked in a ``finally`` block and backstopped by an
+   ``atexit`` hook, so interrupted runs do not leak ``/dev/shm``
+   entries.
 """
 
 from __future__ import annotations
@@ -731,8 +731,7 @@ def shard_transit_nodes(
     """Partition the demanded *transit* nodes round-robin into at most
     *shards* shards.
 
-    Mirrors :func:`repro.routing.engines.parallel.shard_destinations`:
-    round-robin keeps shards balanced when per-``k`` demand is skewed
+    Round-robin keeps shards balanced when per-``k`` demand is skewed
     (core nodes of ISP-like topologies carry most transit), and the
     merge is order-invariant, so any partition yields the same sweep
     output -- this one is just a good default.
@@ -751,8 +750,7 @@ def _merge_shard_results(
 
     Addition and ``min``-by-sequence are order-insensitive, so the
     merged accounting and the raised witness are invariant to worker
-    count and shard order -- the same discipline as the ``parallel``
-    engine's sorted merge.
+    count and shard order.
     """
     best: Optional[_Violation] = None
     for (solves, rows, masked, max_block_rows), violation in results:

@@ -4,9 +4,9 @@ import repro.routing.scipy_engine
 
 from repro.routing.scipy_engine import all_pairs_costs
 
-from repro.routing.engines.vectorized import vcg_price_rows
+from repro.routing.engines import flat_price_rows
 
 
 def uses_shim(graph):
     costs = all_pairs_costs(graph)
-    return costs, repro.routing.scipy_engine, vcg_price_rows
+    return costs, repro.routing.scipy_engine, flat_price_rows

@@ -1,11 +1,10 @@
 """Signature/dispatch-parity suite for the unified ``api.run`` entry point.
 
-``run`` must reproduce each of the four legacy behaviors exactly --
-same report types, same numbers, same converged state -- while the
-legacy names keep working behind a ``DeprecationWarning``.  The suite
-also pins the dispatch validations (substrate-specific knobs rejected
-on the wrong substrate), the uniform delay/MRAI spec coercion, and the
-per-run ``sanitize=`` override.
+``run`` must reproduce each of the four runners it dispatches to
+exactly -- same report types, same numbers, same converged state.  The
+suite also pins the dispatch validations (substrate-specific knobs
+rejected on the wrong substrate), the uniform delay/MRAI spec coercion,
+and the per-run ``sanitize=`` override.
 """
 
 from __future__ import annotations
@@ -215,37 +214,6 @@ class TestSanitizeOverride:
                     api.run(fig1, sanitize=override)
                     assert sanitize_checks.enabled() is ambient
         assert sanitize_checks.enabled() is prior
-
-
-class TestDeprecatedWrappers:
-    """Old names warn but still produce the same reports."""
-
-    def test_run_distributed_mechanism_warns(self, fig1):
-        with pytest.deprecated_call(match="run_distributed_mechanism"):
-            legacy = api.run_distributed_mechanism(fig1)
-        assert _price_state(legacy) == _price_state(api.run(fig1))
-
-    def test_run_timed_mechanism_warns(self, fig1):
-        with pytest.deprecated_call(match="run_timed_mechanism"):
-            legacy = api.run_timed_mechanism(
-                fig1, seed=2, delay=ConstantDelay(0.2)
-            )
-        unified = api.run(fig1, protocol="timed", seed=2, delay="constant:0.2")
-        assert (
-            legacy.report.convergence_time == unified.report.convergence_time
-        )
-
-    def test_run_dynamic_scenario_warns(self, fig1):
-        with pytest.deprecated_call(match="run_dynamic_scenario"):
-            legacy = api.run_dynamic_scenario(fig1, [CostChange(3, 7.0)])
-        assert legacy.all_ok
-
-    def test_run_timed_scenario_warns(self, fig1):
-        with pytest.deprecated_call(match="run_timed_scenario"):
-            legacy = api.run_timed_scenario(
-                fig1, [(1.0, CostChange(3, 7.0))], seed=1
-            )
-        assert legacy.ok
 
 
 class TestSignature:

@@ -37,7 +37,7 @@ from repro.graphs.generators import (
 from repro.routing import forest
 from repro.routing.allpairs import all_pairs_lcp
 from repro.routing.dijkstra import route_tree
-from repro.routing.engines import FlatEngine, get_engine
+from repro.routing.engines import FlatEngine
 from repro.routing.flatsweep import (
     canonical_demand,
     demand_from_routes,
@@ -131,10 +131,10 @@ class TestForestMatchesReference:
             )
             assert outcome == expected
 
-    @pytest.mark.parametrize("name", ["flat", "flat-parallel"])
-    def test_engines_return_builder_routes(self, name):
+    @pytest.mark.parametrize("workers", [1, 2], ids=["flat", "flat-parallel"])
+    def test_engines_return_builder_routes(self, workers):
         graph = isp_like_graph(40, seed=7, cost_sampler=integer_costs(0, 6))
-        routes = get_engine(name).all_pairs(graph)
+        routes = FlatEngine(workers=workers).all_pairs(graph)
         assert _routes_state(routes) == _routes_state(all_pairs_lcp(graph))
 
     def test_single_node(self):

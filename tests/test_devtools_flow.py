@@ -133,7 +133,7 @@ class TestSeededCorruption:
         # The defect surfaces at *every* engine entry that reaches Dijkstra.
         flagged = {finding.function for finding in rpr007}
         assert "all_pairs_lcp" in flagged
-        assert any("ParallelEngine" in name for name in flagged)
+        assert any("FlatEngine" in name for name in flagged)
         assert all("route_tree" in finding.message for finding in rpr007)
 
     def test_rpr008_cache_write_outside_commit_path(self, corrupt_tree):

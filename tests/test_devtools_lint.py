@@ -250,7 +250,7 @@ class TestRule011DeprecatedShims:
         assert codes_in(lint_source(source, "graphs/x.py")) == {"RPR011"}
 
     def test_replacement_module_passes(self):
-        source = "from repro.routing.engines.vectorized import all_pairs_costs\n"
+        source = "from repro.routing.engines import get_engine\n"
         assert lint_source(source, "experiments/x.py") == []
 
     def test_suppression_applies(self):

@@ -7,13 +7,16 @@ harness drives every registered engine over seeded random biconnected
 topologies (reusing :mod:`repro.graphs.generators`) and asserts
 pairwise agreement:
 
-* **costs** within :func:`repro.types.costs_close` for every ordered
-  pair (cost-only engines reassociate float sums);
+* **costs** bit-identical for every ordered pair (every engine
+  returns the canonical routes and reads its costs from them);
 * **prices** with identical stored key sets (same pairs, same transit
   nodes -- Theorem 1 pays zero off-path) and values within
-  ``costs_close``;
-* **paths exactly** for engines that carry paths (the canonical
-  tie-break admits no slack).
+  ``costs_close`` (the flat sweep reassociates float sums; the integer
+  costs of these fixtures keep it bit-identical too);
+* **paths exactly** (the canonical tie-break admits no slack);
+* **errors**: on a disconnected graph every engine raises the
+  reference's error class and message from ``all_pairs``,
+  ``price_table`` and ``cost_matrix``.
 
 Run under ``REPRO_SANITIZE=1`` (CI does, via ``make test-engines``)
 every price table is additionally re-verified against the Theorem 1
@@ -22,8 +25,11 @@ identity from scratch.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.exceptions import DisconnectedGraphError
+from repro.graphs.asgraph import ASGraph
 from repro.graphs.generators import (
     fig1_graph,
     integer_costs,
@@ -35,11 +41,16 @@ from repro.graphs.generators import (
 from repro.routing.engines import Engine, engine_names, get_engine
 from repro.types import costs_close
 
+#: Every engine configuration under test, by id.  ``flat-parallel`` is
+#: the flat engine with two workers, so the pooled shared-memory sweep
+#: (and its merge path) runs in real worker processes regardless of
+#: host core count.
+CONFIGS = {name: (name, {}) for name in engine_names()}
+CONFIGS["flat-parallel"] = ("flat", {"workers": 2})
 
-def _engine(name: str) -> Engine:
-    # Two workers so the parallel engines exercise real worker
-    # processes (and their merge paths) regardless of host core count.
-    options = {"workers": 2} if name in ("parallel", "flat-parallel") else {}
+
+def _engine(config: str) -> Engine:
+    name, options = CONFIGS[config]
     return get_engine(name, **options)
 
 
@@ -78,17 +89,13 @@ def instance(request):
     )
 
 
-@pytest.mark.parametrize("name", [n for n in engine_names() if n != "reference"])
+@pytest.mark.parametrize("name", sorted(set(CONFIGS) - {"reference"}))
 class TestAgainstReference:
     def test_costs_agree(self, instance, name):
         graph, _routes, reference_costs, _table = instance
         candidate = _engine(name).cost_matrix(graph)
         assert candidate.index == reference_costs.index
-        for i in graph.nodes:
-            for j in graph.nodes:
-                assert costs_close(
-                    candidate.cost(i, j), reference_costs.cost(i, j)
-                ), f"engine {name} disagrees on cost({i}, {j})"
+        assert np.array_equal(candidate.matrix, reference_costs.matrix), name
 
     def test_prices_agree(self, instance, name):
         graph, _routes, _costs, reference_table = instance
@@ -104,19 +111,15 @@ class TestAgainstReference:
                 ), f"engine {name} price p^{k}_{pair}"
 
     def test_paths_agree_exactly(self, instance, name):
-        engine = _engine(name)
-        if not engine.carries_paths:
-            pytest.skip(f"engine {name} is cost-only")
         graph, reference_routes, _costs, _table = instance
-        candidate = engine.all_pairs(graph)
+        candidate = _engine(name).all_pairs(graph)
         assert candidate.paths == reference_routes.paths
 
     def test_path_engine_costs_bit_identical(self, instance, name):
-        """Path engines run the identical accumulation, so their costs
-        must be *bit-for-bit* the reference values, not merely close."""
+        """Every engine runs the identical accumulation, so its route
+        costs must be *bit-for-bit* the reference values, and on these
+        integer-cost fixtures so must its prices."""
         engine = _engine(name)
-        if not engine.carries_paths:
-            pytest.skip(f"engine {name} is cost-only")
         graph, reference_routes, _costs, reference_table = instance
         routes = engine.all_pairs(graph)
         for (i, j) in reference_routes.paths:
@@ -128,7 +131,7 @@ def test_pairwise_price_keys_identical(instance):
     """All engines store exactly the same (pair, transit node) keys:
     which entries exist is tie-break semantics, not arithmetic."""
     graph, _routes, _costs, _table = instance
-    tables = {name: _engine(name).price_table(graph) for name in engine_names()}
+    tables = {name: _engine(name).price_table(graph) for name in CONFIGS}
     names = sorted(tables)
     for left, right in zip(names, names[1:]):
         assert set(tables[left].rows) == set(tables[right].rows)
@@ -136,3 +139,25 @@ def test_pairwise_price_keys_identical(instance):
             assert set(tables[left].rows[pair]) == set(tables[right].rows[pair]), (
                 f"{left} vs {right} at {pair}"
             )
+
+
+def _disconnected() -> ASGraph:
+    return ASGraph(
+        nodes=[(0, 1.0), (1, 1.0), (2, 1.0), (3, 1.0)],
+        edges=[(0, 1), (2, 3)],
+    )
+
+
+def _error(call):
+    with pytest.raises(Exception) as caught:
+        call()
+    return type(caught.value), str(caught.value)
+
+
+@pytest.mark.parametrize("method", ["all_pairs", "price_table", "cost_matrix"])
+@pytest.mark.parametrize("name", sorted(set(CONFIGS) - {"reference"}))
+def test_disconnected_error_matches_reference(name, method):
+    graph = _disconnected()
+    expected = _error(lambda: getattr(_engine("reference"), method)(graph))
+    assert expected == (DisconnectedGraphError, "nodes [2, 3] cannot reach 0")
+    assert _error(lambda: getattr(_engine(name), method)(graph)) == expected

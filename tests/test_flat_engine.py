@@ -1,12 +1,14 @@
 """Tests for the flat-CSR routing core and the ``flat`` engine.
 
 The flat engine's correctness story has three independent layers, each
-pinned here: the one-shot CSR build must equal the per-call matrix the
-scipy engine constructs; in-place masking must implement ``G - k``
-exactly (including the stored-zero round-trip for zero-cost nodes) and
-restore the arrays verbatim; and the demand-restricted sweep must
-reproduce the reference engine's prices, error classes, error
-*messages*, and deterministic violation witness.  Cross-engine value
+pinned here against the reference path: the one-shot CSR build must
+equal the ``w(u -> v) = c_v`` matrix read straight off
+``graph.edges``; in-place masking must implement ``G - k`` exactly
+(including the stored-zero round-trip for zero-cost nodes), matching
+the reference k-avoiding detour costs, and restore the arrays
+verbatim; and the demand-restricted sweep must reproduce the reference
+engine's prices, error classes, error *messages*, and deterministic
+violation witness.  Cross-engine value
 agreement is additionally covered by the differential harness
 (``test_engine_differential.py``) and the golden fixtures -- the flat
 engine registers like any other backend, so those parametrize over it
@@ -33,13 +35,10 @@ from repro.graphs.generators import (
     random_biconnected_graph,
     uniform_costs,
 )
+from repro.mechanism.vcg import compute_price_table
 from repro.routing.allpairs import all_pairs_lcp
+from repro.routing.avoiding import avoiding_tree
 from repro.routing.engines import FlatEngine, FlatSweepStats, flat_price_rows, get_engine
-from repro.routing.engines.vectorized import (
-    _directed_weight_matrix,
-    avoiding_costs_matrix,
-    vcg_price_rows,
-)
 from repro.routing.flatgraph import build_flat_graph
 from repro.types import costs_close
 
@@ -60,6 +59,22 @@ def cut_vertex_graph() -> ASGraph:
     )
 
 
+def edge_weight_matrix(graph: ASGraph):
+    """The ``w(u -> v) = c_v`` reduction built densely from
+    ``graph.edges``, plus a mask of the entries a CSR must store."""
+    index = graph.index_of()
+    costs = np.empty(graph.num_nodes)
+    for node, i in index.items():
+        costs[i] = graph.cost(node)
+    weights = np.zeros((graph.num_nodes, graph.num_nodes))
+    stored = np.zeros_like(weights, dtype=bool)
+    for u, v in graph.edges:
+        ui, vi = index[u], index[v]
+        weights[ui, vi], weights[vi, ui] = costs[vi], costs[ui]
+        stored[ui, vi] = stored[vi, ui] = True
+    return weights, stored, costs, index
+
+
 class TestFlatGraphBuild:
     @pytest.mark.parametrize(
         "factory",
@@ -68,15 +83,16 @@ class TestFlatGraphBuild:
     def test_matches_directed_weight_matrix(self, factory):
         graph = factory()
         flat = build_flat_graph(graph)
-        expected, costs, index = _directed_weight_matrix(graph)
+        expected, stored, costs, index = edge_weight_matrix(graph)
         assert flat.index == index
         np.testing.assert_array_equal(flat.costs, costs)
-        np.testing.assert_array_equal(
-            flat.matrix().toarray(), expected.toarray()
-        )
+        matrix = flat.matrix()
+        np.testing.assert_array_equal(matrix.toarray(), expected)
         # the stored structure matches too, not just the dense values
         # (a dropped stored zero would be invisible in toarray())
-        assert flat.num_stored == expected.nnz == 2 * graph.num_edges
+        assert flat.num_stored == matrix.nnz == 2 * graph.num_edges
+        coo = matrix.tocoo()
+        assert stored[coo.row, coo.col].all()
 
     def test_index_arrays_are_csgraph_native(self):
         flat = build_flat_graph(fig1_graph())
@@ -95,23 +111,28 @@ class TestMasking:
     def test_masked_dijkstra_equals_avoiding_matrix(self):
         graph = isp_like_graph(18, seed=2, cost_sampler=integer_costs(1, 6))
         flat = build_flat_graph(graph)
+        index = flat.index
         for k in graph.nodes:
-            expected, index = avoiding_costs_matrix(graph, k)
-            ki = index[k]
-            with flat.masked(ki) as matrix:
+            with flat.masked(index[k]) as matrix:
                 dist = csgraph_dijkstra(
                     matrix, directed=True, return_predecessors=False
                 )
             transit = dist - flat.costs[np.newaxis, :]
-            np.fill_diagonal(transit, 0.0)
-            # rows/columns of k itself are mechanism-undefined; the
-            # avoiding matrix pins them to inf, masking leaves k's
-            # out-edges intact -- compare everywhere else.
-            keep = np.ones(graph.num_nodes, dtype=bool)
-            keep[ki] = False
-            np.testing.assert_allclose(
-                transit[np.ix_(keep, keep)], expected[np.ix_(keep, keep)]
-            )
+            # rows/columns of k itself are mechanism-undefined (masking
+            # leaves k's out-edges intact) -- compare everywhere else.
+            for destination in graph.nodes:
+                if destination == k:
+                    continue
+                detours = avoiding_tree(graph, destination, k)
+                for source in graph.nodes:
+                    if source in (k, destination):
+                        continue
+                    expected = (
+                        detours.cost(source) if detours.has_route(source) else np.inf
+                    )
+                    assert transit[index[source], index[destination]] == pytest.approx(
+                        expected
+                    ), (k, source, destination)
 
     def test_mask_restores_weights_verbatim(self):
         graph = zero_cost_graph()
@@ -146,10 +167,10 @@ class TestFlatPriceRows:
             ),
         ],
     )
-    def test_agrees_with_legacy_vectorized_rows(self, factory):
+    def test_agrees_with_reference_table(self, factory):
         graph = factory()
         routes = all_pairs_lcp(graph)
-        expected = vcg_price_rows(graph, routes)
+        expected = compute_price_table(graph, routes).rows
         actual = flat_price_rows(graph, routes)
         assert set(actual) == set(expected)
         for pair in expected:
@@ -187,8 +208,6 @@ class TestErrorParity:
         # *same* paths (scaling preserves every comparison and
         # tie-break) but report 10x LCP costs, pushing every transit
         # price negative.  Both sweeps must pick the same witness.
-        from repro.mechanism.vcg import compute_price_table
-
         graph = fig1_graph()
         scaled = ASGraph(
             nodes=[(n, graph.cost(n) * 10.0) for n in graph.nodes],
@@ -207,7 +226,7 @@ class TestErrorParity:
             nodes=[(0, 1.0), (1, 1.0), (2, 1.0), (3, 1.0)],
             edges=[(0, 1), (2, 3)],
         )
-        with pytest.raises(DisconnectedGraphError):
+        with pytest.raises(DisconnectedGraphError, match=r"nodes \[2, 3\] cannot reach 0"):
             get_engine("flat").cost_matrix(graph)
 
 
@@ -216,9 +235,7 @@ class TestFlatEngineSurface:
         reference = get_engine("reference").cost_matrix(fig1)
         flat = get_engine("flat").cost_matrix(fig1)
         assert flat.index == reference.index
-        for i in fig1.nodes:
-            for j in fig1.nodes:
-                assert costs_close(flat.cost(i, j), reference.cost(i, j))
+        np.testing.assert_array_equal(flat.matrix, reference.matrix)
 
     def test_obs_counters(self, fig1):
         observer = obs.Obs(sinks=[obs.MemorySink()])

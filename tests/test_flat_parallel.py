@@ -1,9 +1,9 @@
 """Property tests for the sharded flat sweep's determinism guarantees.
 
-The ``flat-parallel`` engine's contract mirrors the ``parallel``
-engine's: sharding is *invisible*.  For any instance, the priced
-arrays -- and the dict rows derived from them -- are bit-identical to
-the single-process ``flat`` sweep's regardless of
+The ``flat`` engine's pooled sweep (``FlatEngine(workers > 1)``) makes
+sharding *invisible*.  For any instance, the priced arrays -- and the
+dict rows derived from them -- are bit-identical to the single-process
+inline sweep's regardless of
 
 * **worker count** (1 runs inline with no pool and no shared memory;
   2 and 4 fork real worker processes over shared-memory segments), and
@@ -36,7 +36,7 @@ from repro.graphs.asgraph import ASGraph
 from repro.graphs.generators import fig1_graph
 from repro.mechanism.vcg import compute_price_table
 from repro.routing.allpairs import all_pairs_lcp
-from repro.routing.engines import FlatParallelEngine, get_engine
+from repro.routing.engines import FlatEngine, get_engine
 from repro.routing import flatsweep
 from repro.routing.flatsweep import (
     FlatSweepStats,
@@ -89,7 +89,7 @@ def test_worker_count_invariance(graph):
     for workers in (1, 2, 4):
         arrays = flat_price_arrays(graph, routes, workers=workers)
         assert np.array_equal(baseline.prices, arrays.prices), workers
-        engine = FlatParallelEngine(workers=workers)
+        engine = FlatEngine(workers=workers)
         assert engine.price_table(graph, routes).rows == reference.rows, workers
 
 
@@ -122,7 +122,7 @@ def test_error_ordering_parity_on_cut_vertex_graphs(graph):
         get_engine("reference").price_table(graph)
     for workers in (1, 2, 4):
         with pytest.raises(NotBiconnectedError) as flat_error:
-            FlatParallelEngine(workers=workers).price_table(graph)
+            FlatEngine(workers=workers).price_table(graph)
         assert str(flat_error.value) == str(reference_error.value), workers
 
 
@@ -186,15 +186,11 @@ class TestSharding:
 
     def test_invalid_worker_count_rejected(self):
         with pytest.raises(EngineError, match="worker count"):
-            FlatParallelEngine(workers=0)
-        with pytest.raises(EngineError, match="shards per worker"):
-            FlatParallelEngine(shards_per_worker=0)
+            FlatEngine(workers=0)
 
-    def test_default_worker_count_is_cpu_count(self):
-        import os
-
-        assert FlatParallelEngine().workers == (os.cpu_count() or 1)
-        assert FlatParallelEngine(workers=3).workers == 3
+    def test_default_worker_count_is_one(self):
+        assert FlatEngine().workers == 1
+        assert FlatEngine(workers=3).workers == 3
 
     def test_stats_record_layout(self, fig1):
         routes = all_pairs_lcp(fig1)
@@ -256,7 +252,7 @@ class TestSharedMemoryHygiene:
 class TestObservability:
     def test_flat_parallel_emits_layout_counters(self, fig1):
         observer = obs.Obs(sinks=[obs.MemorySink()])
-        engine = FlatParallelEngine(workers=2)
+        engine = FlatEngine(workers=2)
         table = engine.price_table(fig1, obs=observer)
         assert len(table.rows) > 0
         name = engine.name
@@ -276,7 +272,7 @@ class TestObservability:
         path = tmp_path / "flat.jsonl"
         observer = obs.Obs()
         sink = observer.add_sink(obs.JSONLSink(str(path)))
-        FlatParallelEngine(workers=2).price_table(fig1, obs=observer)
+        FlatEngine(workers=2).price_table(fig1, obs=observer)
         sink.close()
         summary = summarize_trace(str(path))
         assert summary.flat_seen

@@ -4,10 +4,11 @@
 LCP, transit cost, and Theorem 1 price of the Figure 1 worked example,
 plus the Figure 2 route tree ``T(Z)``.  Every registered engine must
 reproduce the snapshot **exactly** under the default tie-break --
-Figure 1 uses small integer costs, so even the vectorized engine's
-float sums are exact and no epsilon is tolerated.  A diff here means
-either a broken engine or a deliberate tie-break change (in which case
-the fixture must be regenerated and the change called out in review).
+Figure 1 uses small integer costs, so even the flat sweep's
+reassociated float sums are exact and no epsilon is tolerated.  A diff
+here means either a broken engine or a deliberate tie-break change (in
+which case the fixture must be regenerated and the change called out
+in review).
 """
 
 from __future__ import annotations
@@ -35,8 +36,14 @@ def fig1():
     return fig1_graph()
 
 
-def _engine(name):
-    options = {"workers": 2} if name == "parallel" else {}
+#: Every engine configuration under test, by id; ``flat-parallel`` is
+#: the flat engine's pooled sweep with two worker processes.
+CONFIGS = {name: (name, {}) for name in engine_names()}
+CONFIGS["flat-parallel"] = ("flat", {"workers": 2})
+
+
+def _engine(config):
+    name, options = CONFIGS[config]
     return get_engine(name, **options)
 
 
@@ -48,7 +55,7 @@ def test_fixture_is_complete(golden, fig1):
     assert golden["price_table"]["4->5"]["prices"] == {"3": 9.0}
 
 
-@pytest.mark.parametrize("name", engine_names())
+@pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_engine_reproduces_golden_prices(golden, fig1, name):
     engine = _engine(name)
     table = engine.price_table(fig1)
@@ -64,21 +71,17 @@ def test_engine_reproduces_golden_prices(golden, fig1, name):
             str(k): price for k, price in table.row(source, destination).items()
         }
         assert actual_prices == expected["prices"], (name, key)
-        if engine.carries_paths:
-            assert list(routes.path(source, destination)) == expected["path"], (name, key)
+        assert list(routes.path(source, destination)) == expected["path"], (name, key)
     # and nothing beyond the snapshot
     stored = {pair for pair in table.rows}
     assert stored <= seen, name
 
 
-@pytest.mark.parametrize("name", [n for n in engine_names() if n != "scipy"])
+@pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_engine_reproduces_fig2_tree(golden, fig1, name):
-    engine = _engine(name)
-    if not engine.carries_paths:
-        pytest.skip(f"engine {name} is cost-only")
     expected = golden["fig2_tree"]
     destination = expected["destination"]
-    tree = engine.all_pairs(fig1).tree(destination)
+    tree = _engine(name).all_pairs(fig1).tree(destination)
     actual = {str(node): tree.parent(node) for node in tree.sources()}
     assert actual == expected["parents"], name
 

@@ -337,20 +337,6 @@ class TestTraceValidation:
 
 
 class TestEngineMetrics:
-    def test_parallel_engine_reports_configuration(self, fig1):
-        from repro.routing.engines import get_engine
-
-        sink = obs.MemorySink()
-        observer = obs.Obs(sinks=[sink])
-        engine = get_engine("parallel", workers=2)
-        engine.price_table(fig1, obs=observer)
-        assert observer.gauge_value(names.ENGINE_WORKERS, engine="parallel") == 2
-        shards = observer.gauge_value(names.ENGINE_SHARDS, engine="parallel")
-        assert shards is not None and shards >= 1
-        assert observer.counter_total(names.PRICE_ROWS) == len(
-            engine.price_table(fig1).rows
-        )
-
     def test_experiment_runner_span(self):
         from repro.experiments.runner import run_experiment
 

@@ -13,7 +13,7 @@ from repro.graphs.asgraph import ASGraph
 from repro.routing.allpairs import all_pairs_lcp
 from repro.routing.avoiding import avoiding_tree
 from repro.routing.dijkstra import route_tree
-from repro.routing.engines.vectorized import all_pairs_costs
+from repro.routing.engines import get_engine
 
 
 @st.composite
@@ -90,13 +90,11 @@ def test_avoiding_cost_dominates_lcp_cost(graph):
 
 @settings(max_examples=30, deadline=None)
 @given(biconnected_graphs())
-def test_scipy_engine_matches_reference(graph):
+def test_flat_cost_matrix_matches_reference(graph):
     routes = all_pairs_lcp(graph)
-    matrix, index = all_pairs_costs(graph)
+    costs = get_engine("flat").cost_matrix(graph)
     for (source, destination), _path in routes.paths.items():
-        assert matrix[index[source], index[destination]] == pytest.approx(
-            routes.cost(source, destination)
-        )
+        assert costs.cost(source, destination) == routes.cost(source, destination)
 
 
 @settings(max_examples=30, deadline=None)
