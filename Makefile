@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check lint analyze test test-deprecations bench bench-protocol bench-dynamics bench-analyzer bench-flat bench-flat-parallel bench-timed sanitize-test test-engines test-timed trace-smoke
+.PHONY: check lint analyze test test-deprecations bench bench-smoke bench-protocol bench-dynamics bench-analyzer bench-flat bench-flat-parallel bench-timed sanitize-test test-engines test-timed trace-smoke
 
 check:
 	$(PYTHON) -m repro.devtools.check
@@ -43,9 +43,10 @@ test-engines:
 		tests/test_engine_registry.py \
 		tests/test_canonical_forest.py
 
-# timed-substrate differential suite: async bit-identity, centralized
-# parity under every delay/MRAI setting, determinism, fault sequences,
-# MRAI accounting, and the golden JSONL trace (CI=1 widens Hypothesis)
+# timed-substrate differential suite: the asynchronous run's golden
+# schedule/model pins (FIFO and reordered links), centralized parity
+# under every delay/MRAI setting, determinism, fault sequences, MRAI
+# accounting, and the golden JSONL trace (CI=1 widens Hypothesis)
 test-timed:
 	$(PYTHON) -m pytest -x -q \
 		tests/test_timed_protocol.py \
@@ -60,6 +61,12 @@ trace-smoke:
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+# benchmark-suite smoke test: every BENCHMARK.json workload at toy size,
+# untraced and traced, through the suite's own run.py (its layer
+# wrapping and its engine imports included)
+bench-smoke:
+	$(PYTHON) -m pytest -q benchmarks/suite/test_smoke.py
 
 # protocol transport benchmark: full-table vs delta substrate; writes
 # BENCH_protocol.json at the repo root (quick sizes; drop --quick for

@@ -5,8 +5,8 @@ code paths); the negative controls are asserted once outside the
 timer so the benchmark still certifies the failures exist.
 """
 
-from repro.bgp.engine import AsynchronousEngine
 from repro.bgp.policy import LowestCostPolicy
+from repro.bgp.timed import TimedEngine
 from repro.core.price_node import PriceComputingNode, UpdateMode
 from repro.core.protocol import (
     DistributedPriceResult,
@@ -33,7 +33,7 @@ def test_bench_async_fifo(benchmark):
         return PriceComputingNode(node_id, cost, policy)
 
     def run():
-        engine = AsynchronousEngine(
+        engine = TimedEngine(
             graph, policy=LowestCostPolicy(), node_factory=factory, seed=2
         )
         engine.initialize()

@@ -7,7 +7,11 @@ instance and asserts exact agreement with the centralized mechanism.
 import pytest
 
 from repro.core.price_node import UpdateMode
-from repro.core.protocol import distributed_mechanism, verify_against_centralized
+from repro.core.protocol import (
+    distributed_mechanism,
+    timed_mechanism,
+    verify_against_centralized,
+)
 
 
 @pytest.mark.parametrize("mode", list(UpdateMode), ids=lambda m: m.value)
@@ -18,7 +22,7 @@ def test_bench_distributed_mechanism(benchmark, isp16, mode):
 
 def test_bench_distributed_mechanism_async(benchmark, isp16):
     def run():
-        return distributed_mechanism(isp16, asynchronous=True, seed=0)
+        return timed_mechanism(isp16, seed=0)
 
     result = benchmark(run)
     assert verify_against_centralized(result).ok

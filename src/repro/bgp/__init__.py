@@ -17,7 +17,7 @@ requirement is structural here -- the engine has no other channel).
 from repro.bgp.messages import RouteAdvertisement
 from repro.bgp.node import BGPNode
 from repro.bgp.policy import HopCountPolicy, LowestCostPolicy, SelectionPolicy
-from repro.bgp.engine import AsynchronousEngine, SynchronousEngine
+from repro.bgp.engine import SynchronousEngine
 from repro.bgp.events import CostChange, LinkFailure, LinkRecovery
 from repro.bgp.metrics import ConvergenceReport, StateReport, TimedReport
 from repro.bgp.delays import (
@@ -42,7 +42,6 @@ __all__ = [
     "HopCountPolicy",
     "LowestCostPolicy",
     "SelectionPolicy",
-    "AsynchronousEngine",
     "SynchronousEngine",
     "TimedEngine",
     "CostChange",

@@ -1,19 +1,13 @@
-"""Protocol engines: synchronous stages and an asynchronous relaxation.
+"""The staged protocol engine of Sect. 5.
 
-:class:`SynchronousEngine` is the paper's model (Sect. 5): in each stage
-every node receives the tables its neighbors sent at the end of the
-previous stage, recomputes locally, and sends its own table to all
-neighbors iff it changed.  The engine is generic over the node class, so
-plain BGP and the FPSS price-computing extension run on identical
-machinery and identical messages.
+:class:`SynchronousEngine` is the paper's model: in each stage every
+node receives the tables its neighbors sent at the end of the previous
+stage, recomputes locally, and sends its own table to all neighbors iff
+it changed.  The engine is generic over the node class, so plain BGP
+and the FPSS price-computing extension run on identical machinery and
+identical messages.
 
-:class:`AsynchronousEngine` drops the synchrony assumption: messages
-carry independent random delays and are processed one at a time.  The
-paper analyses only the synchronous case; the asynchronous engine
-demonstrates (and the tests assert) that the computation is
-self-stabilizing under reordering as well.
-
-Both engines support two transports:
+It supports two transports:
 
 * ``incremental=False`` -- the literal Sect. 5 model: full routing
   tables on every transmission.
@@ -26,43 +20,32 @@ Both engines support two transports:
   converged tables, prices, and reports -- is bit-identical to the
   full-table transport; only the transport-level ``rows_sent`` /
   ``rows_suppressed`` counters see the savings.
+
+The paper analyses only the synchronous case.  Asynchronous runs --
+messages with independent random delays, processed one at a time --
+are the default configuration of the event-driven
+:class:`~repro.bgp.timed.TimedEngine`.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
-import random
-from typing import Callable, Dict, List, Optional, Set, Tuple, Union
+from typing import Dict, Optional, Set, Tuple
 
 import repro.obs as obs_mod
 from repro.bgp.messages import (
-    NOISE_REL_TOL,
     RouteAdvertisement,
     RouteDelta,
     row_materially_different,
 )
-from repro.bgp.metrics import ConvergenceReport, StageStats, StateReport
-from repro.bgp.node import BGPNode
+from repro.bgp.metrics import ConvergenceReport, StageStats
+from repro.bgp.node import NodeFactory, ProtocolEngine, _default_factory
+from repro.bgp.policy import SelectionPolicy
+from repro.bgp.timed import TimedEngine
 from repro.devtools import sanitize
-from repro.obs import names as metric_names
-from repro.bgp.policy import LowestCostPolicy, SelectionPolicy
 from repro.exceptions import ConvergenceError, ProtocolError
 from repro.graphs.asgraph import ASGraph
+from repro.obs import names as metric_names
 from repro.types import Cost, NodeId
-
-NodeFactory = Callable[[NodeId, Cost, SelectionPolicy], BGPNode]
-
-#: Back-compat alias; the tolerance now lives with the message-level
-#: comparison in :mod:`repro.bgp.messages`.
-_NOISE_REL_TOL = NOISE_REL_TOL
-
-#: What a transmission carries on the wire: a full table or a delta.
-_Payload = Union[Tuple[RouteAdvertisement, ...], RouteDelta]
-
-
-def _default_factory(node_id: NodeId, cost: Cost, policy: SelectionPolicy) -> BGPNode:
-    return BGPNode(node_id, cost, policy)
 
 
 def _materially_different(
@@ -89,7 +72,7 @@ def _materially_different(
     return False
 
 
-class SynchronousEngine:
+class SynchronousEngine(ProtocolEngine):
     """The staged computational model of Section 5.
 
     Stage discipline: a node's outgoing table at the end of stage ``s``
@@ -109,29 +92,10 @@ class SynchronousEngine:
         incremental: bool = True,
         obs: Optional[obs_mod.Obs] = None,
     ) -> None:
-        self.graph = graph
-        self.policy = policy or LowestCostPolicy()
-        # Ablation knob (E15): disable the Sect. 6 restart-on-change
-        # semantics to demonstrate why they are necessary.
-        self.restart_on_events = restart_on_events
+        super().__init__(graph, policy, node_factory, restart_on_events, obs)
         # Delta transport + dirty-set scheduling (bit-identical results;
         # False reverts to the literal full-table model).
         self.incremental = incremental
-        # Explicit observer (None: report to the global default iff
-        # observability is enabled -- see repro.obs.active()).
-        self._obs = obs
-        self.nodes: Dict[NodeId, BGPNode] = {
-            node_id: node_factory(node_id, graph.cost(node_id), self.policy)
-            for node_id in graph.nodes
-        }
-        if obs is not None:
-            for node in self.nodes.values():
-                node.obs = obs
-        # The engine owns a mutable adjacency so that link dynamics do
-        # not require rebuilding node state.
-        self.adjacency: Dict[NodeId, Set[NodeId]] = {
-            node: set(graph.neighbors(node)) for node in graph.nodes
-        }
         # What each node most recently sent (per the "send only when
         # changed" rule we must remember the last transmission).  The
         # incremental transport does not maintain this map: the per-node
@@ -147,13 +111,6 @@ class SynchronousEngine:
         self._unsynced: Set[Tuple[NodeId, NodeId]] = set()
         self._initialized = False
         self.stage_count = 0
-        # Per-node route-key snapshots for the sanitizer's monotone
-        # convergence check.  Monotonicity holds only from a cold start:
-        # warm reconvergence after an event (e.g. a cost increase under
-        # restart_on_events=False) legitimately worsens routes, so the
-        # check is disarmed then and re-armed by a full restart.
-        self._sanitize_baseline: Dict[NodeId, sanitize.RouteKeySnapshot] = {}
-        self._sanitize_monotone_armed = True
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -392,37 +349,10 @@ class SynchronousEngine:
     # ------------------------------------------------------------------
     # Sanitizer hooks
     # ------------------------------------------------------------------
-    def _has_live_link(self, u: NodeId, v: NodeId) -> bool:
-        return v in self.adjacency.get(u, ())
-
     def _sanitize_stage(self) -> None:
-        """Per-stage invariant checks (only when the sanitizer is on):
-        every selected path is a simple, endpoint-correct walk, and no
-        node's selected route key worsened within the current epoch.
-        The live-link part of the path check (like monotonicity) is only
-        sound in a cold epoch: during warm reconvergence, path-vector
-        routing legitimately holds routes through a failed link until
-        the withdrawal propagates."""
-        if self._sanitize_monotone_armed:
-            has_edge = self._has_live_link
-        else:
-            has_edge = lambda u, v: True  # noqa: E731 - stale links allowed warm
+        """Per-stage invariant checks (only when the sanitizer is on)."""
         for node_id in sorted(self.nodes):
-            node = self.nodes[node_id]
-            for destination in sorted(node.routes):
-                entry = node.routes[destination]
-                sanitize.check_path(
-                    entry.path,
-                    has_edge=has_edge,
-                    source=node_id,
-                    destination=destination,
-                )
-            if self._sanitize_monotone_armed:
-                current = sanitize.snapshot_routes(node.routes)
-                previous = self._sanitize_baseline.get(node_id)
-                if previous is not None:
-                    sanitize.check_routes_monotone(node_id, previous, current)
-                self._sanitize_baseline[node_id] = current
+            self._sanitize_node(node_id, self.nodes[node_id])
 
     # ------------------------------------------------------------------
     # Dynamics
@@ -505,29 +435,6 @@ class SynchronousEngine:
         self._publish_event_state(node_id)
         self._restart_derived_state()
 
-    def _restart_derived_state(self) -> None:
-        """Apply Sect. 6's restart semantics after a network change.
-
-        "The process of converging begins again each time a route is
-        changed."  For price-computing networks this must be a *full*
-        protocol restart: price state derived from any pre-event
-        advertisement is unusable (a stale route cost can make a price
-        candidate undercut the new true price, and the monotone minimum
-        never recovers), and a node cannot locally tell pre-event
-        information from post-event information.  Plain BGP networks
-        are left warm -- path-vector routing is self-correcting and its
-        incremental reconvergence is itself worth measuring.
-        """
-        # A warm reconvergence epoch is not monotone (stale low-cost
-        # routes persist until the news propagates); disarm the check.
-        self._sanitize_baseline.clear()
-        self._sanitize_monotone_armed = False
-        needs_restart = self.restart_on_events and any(
-            node.RESTART_ON_EVENT for node in self.nodes.values()
-        )
-        if needs_restart:
-            self.full_restart()
-
     def full_restart(self) -> None:
         """Forget everything learned and reconverge from scratch (the
         paper's convergence-begins-again model)."""
@@ -537,230 +444,9 @@ class SynchronousEngine:
             node.restart()
             self._publish_event_state(node_id)
 
-    # ------------------------------------------------------------------
-    # Inspection
-    # ------------------------------------------------------------------
-    def node(self, node_id: NodeId) -> BGPNode:
-        return self.nodes[node_id]
 
-    def state_report(self) -> StateReport:
-        loc = {}
-        adj = {}
-        price = {}
-        for node_id, node in self.nodes.items():
-            loc[node_id] = node.table_size_entries()
-            adj[node_id] = node.rib_in.size_entries()
-            price[node_id] = sum(
-                len(node._prices_for(destination)) for destination in node.routes
-            )
-        return StateReport(
-            loc_rib_entries=loc, adj_rib_in_entries=adj, price_entries=price
-        )
-
-
-class AsynchronousEngine:
-    """Event-driven relaxation of the stage model.
-
-    Every table transmission is an event with an independent random
-    delay in ``[min_delay, max_delay]``; a node processes one incoming
-    table at a time, recomputes, and (if its table changed) schedules
-    transmissions to all neighbors.  Termination: the event queue drains
-    (guaranteed for the static instances tested -- route keys strictly
-    improve and price arrays stabilize with them).
-    """
-
-    #: Opt-in delivery schedule recorder: set to a list and every
-    #: delivery appends ``(when, sender, receiver, rows)``.  The timed
-    #: engine records the same tuples, which is how the differential
-    #: suite asserts schedule bit-identity between the substrates.
-    delivery_log: Optional[List[Tuple[float, NodeId, NodeId, int]]] = None
-
-    def __init__(
-        self,
-        graph: ASGraph,
-        policy: Optional[SelectionPolicy] = None,
-        node_factory: NodeFactory = _default_factory,
-        seed: int = 0,
-        min_delay: float = 0.1,
-        max_delay: float = 1.0,
-        fifo_links: bool = True,
-        incremental: bool = True,
-        obs: Optional[obs_mod.Obs] = None,
-    ) -> None:
-        if not 0 < min_delay <= max_delay:
-            raise ProtocolError(
-                f"invalid delay range [{min_delay}, {max_delay}]"
-            )
-        self._obs = obs
-        # Ablation knob (E15): drop the per-link FIFO guarantee to show
-        # that reordered tables (impossible over TCP) corrupt state.
-        self.fifo_links = fifo_links
-        # Delta transport.  Deltas are only correct when consecutive
-        # transmissions on a link arrive in order, so the reordering
-        # ablation (fifo_links=False) silently falls back to full
-        # tables -- which is also what keeps that ablation meaningful.
-        self.incremental = incremental and fifo_links
-        self.graph = graph
-        self.policy = policy or LowestCostPolicy()
-        self.nodes: Dict[NodeId, BGPNode] = {
-            node_id: node_factory(node_id, graph.cost(node_id), self.policy)
-            for node_id in graph.nodes
-        }
-        if obs is not None:
-            for node in self.nodes.values():
-                node.obs = obs
-        self._rng = random.Random(seed)
-        self._min_delay = min_delay
-        self._max_delay = max_delay
-        self._clock = 0.0
-        self._sequence = itertools.count()
-        self._queue: List[Tuple[float, int, NodeId, NodeId, _Payload]] = []
-        self._published: Dict[NodeId, Tuple[RouteAdvertisement, ...]] = {}
-        # BGP sessions run over TCP: per-link delivery is FIFO.  Without
-        # this, a newer table can overtake an older one and the receiver
-        # would overwrite fresh state with stale state.
-        self._link_clock: Dict[Tuple[NodeId, NodeId], float] = {}
-        self.deliveries = 0
-        # Transport accounting (counted when a transmission is queued).
-        self.rows_sent = 0
-        self.rows_suppressed = 0
-        self._started = False
-        # Sanitizer baseline (see SynchronousEngine); only meaningful
-        # under FIFO delivery, where route keys improve monotonically.
-        self._sanitize_baseline: Dict[NodeId, sanitize.RouteKeySnapshot] = {}
-
-    def initialize(self) -> None:
-        for node_id, node in self.nodes.items():
-            if self.incremental:
-                delta = node.publication_delta()
-                self._broadcast_delta(
-                    node_id, RouteDelta(node_id, delta.updates, delta.withdrawals)
-                )
-            else:
-                self._broadcast(node_id, node.advertisements())
-        self._started = True
-
-    def _schedule(self, sender: NodeId, neighbor: NodeId, payload: _Payload) -> None:
-        """Queue one transmission with a fresh random delay.  Both
-        transports draw exactly one delay per (transmission, neighbor),
-        so the delivery schedule -- and hence every RNG-dependent
-        outcome -- is identical between them."""
-        delay = self._rng.uniform(self._min_delay, self._max_delay)
-        link = (sender, neighbor)
-        when = self._clock + delay
-        if self.fifo_links:
-            when = max(when, self._link_clock.get(link, 0.0))
-            self._link_clock[link] = when
-        heapq.heappush(
-            self._queue,
-            (when, next(self._sequence), sender, neighbor, payload),
-        )
-
-    def _broadcast(self, sender: NodeId, table: Tuple[RouteAdvertisement, ...]) -> None:
-        self._published[sender] = table
-        for neighbor in self.graph.neighbors(sender):
-            self._schedule(sender, neighbor, table)
-            self.rows_sent += len(table)
-
-    def _broadcast_delta(self, sender: NodeId, delta: RouteDelta) -> None:
-        suppressed = self.nodes[sender].published_rows - len(delta.updates)
-        for neighbor in self.graph.neighbors(sender):
-            self._schedule(sender, neighbor, delta)
-            self.rows_sent += delta.size_rows()
-            self.rows_suppressed += suppressed
-
-    def run(self, max_deliveries: Optional[int] = None) -> ConvergenceReport:
-        """Drain the event queue; returns the delivery accounting.
-
-        When an observer is active the drain runs under a
-        ``bgp.async.run`` span and the deliveries this call performed
-        are emitted as ``bgp.deliveries`` and as ``bgp.messages`` with
-        ``type=async``.
-        """
-        observer = obs_mod.active(self._obs)
-        if observer is None:
-            return self._run(max_deliveries)
-        deliveries_before = self.deliveries
-        rows_before = self.rows_sent
-        suppressed_before = self.rows_suppressed
-        with observer.span(metric_names.SPAN_ASYNC_RUN):
-            report = self._run(max_deliveries)
-        delivered = self.deliveries - deliveries_before
-        observer.count(metric_names.DELIVERIES, delivered)
-        observer.count(metric_names.MESSAGES, delivered, type="async")
-        observer.count(metric_names.ROWS_SENT, self.rows_sent - rows_before)
-        observer.count(
-            metric_names.ROWS_SUPPRESSED, self.rows_suppressed - suppressed_before
-        )
-        return report
-
-    def _run(self, max_deliveries: Optional[int] = None) -> ConvergenceReport:
-        if not self._started and not self._queue and not self._published:
-            self.initialize()
-        limit = max_deliveries if max_deliveries is not None else 200 * self.graph.num_nodes ** 2
-        while self._queue:
-            if self.deliveries >= limit:
-                raise ConvergenceError(stages=self.deliveries, limit=limit)
-            when, _seq, sender, receiver, payload = heapq.heappop(self._queue)
-            self._clock = when
-            self.deliveries += 1
-            if self.delivery_log is not None:
-                rows = (
-                    payload.size_rows()
-                    if isinstance(payload, RouteDelta)
-                    else len(payload)
-                )
-                self.delivery_log.append((when, sender, receiver, rows))
-            node = self.nodes[receiver]
-            if isinstance(payload, RouteDelta):
-                dirty = node.receive_delta(sender, payload)
-                if sanitize.enabled():
-                    # Every delivery re-decides so the invariant checks
-                    # see the complete decision process: change-driven
-                    # and then checked against a full decision, or fully
-                    # when nothing is dirty.
-                    node.decide(dirty or None)
-                    self._sanitize_delivery(receiver, node)
-                elif dirty:
-                    node.decide(dirty)
-                else:
-                    continue  # inputs unchanged: no recompute, no rebroadcast
-                delta = node.publication_delta()
-                if not delta.is_empty:
-                    self._broadcast_delta(
-                        receiver,
-                        RouteDelta(receiver, delta.updates, delta.withdrawals),
-                    )
-            else:
-                node.receive_table(sender, payload)
-                node.decide()
-                if sanitize.enabled():
-                    self._sanitize_delivery(receiver, node)
-                adverts = node.advertisements()
-                if adverts != self._published.get(receiver):
-                    self._broadcast(receiver, adverts)
-        report = ConvergenceReport(converged=True, stages=0)
-        report.total_messages = self.deliveries
-        report.total_rows_sent = self.rows_sent
-        report.total_rows_suppressed = self.rows_suppressed
-        return report
-
-    def _sanitize_delivery(self, receiver: NodeId, node: BGPNode) -> None:
-        """Invariant checks after one delivery (sanitizer on only)."""
-        for destination in sorted(node.routes):
-            entry = node.routes[destination]
-            sanitize.check_path(
-                entry.path,
-                has_edge=self.graph.has_edge,
-                source=receiver,
-                destination=destination,
-            )
-        if self.fifo_links:
-            current = sanitize.snapshot_routes(node.routes)
-            previous = self._sanitize_baseline.get(receiver)
-            if previous is not None:
-                sanitize.check_routes_monotone(receiver, previous, current)
-            self._sanitize_baseline[receiver] = current
-
-    def node(self, node_id: NodeId) -> BGPNode:
-        return self.nodes[node_id]
+#: The asynchronous engine is :class:`TimedEngine` in its default
+#: configuration.  This name remains only because the benchmark suite
+#: (``benchmarks/suite/workloads.py``) imports it and wraps its ``run``;
+#: it goes with the next change to the benchmark.
+AsynchronousEngine = TimedEngine

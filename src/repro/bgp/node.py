@@ -27,12 +27,19 @@ a decision touches only the rows whose inputs changed; and
 :meth:`publication_delta` hands the owning engine exactly the rows that
 changed since the last transmission (plus withdrawals), which is what a
 :class:`~repro.bgp.messages.RouteDelta` carries on the wire.
+
+:class:`ProtocolEngine` is what the two protocol engines
+(:class:`~repro.bgp.engine.SynchronousEngine` and
+:class:`~repro.bgp.timed.TimedEngine`) share: the nodes built by a
+:data:`NodeFactory`, the live adjacency, the Sect. 6 restart rule, the
+per-node sanitizer checks and the :class:`StateReport`.
 """
 
 from __future__ import annotations
 
 from typing import (
     AbstractSet,
+    Callable,
     Dict,
     Iterable,
     List,
@@ -51,10 +58,12 @@ from repro.bgp.messages import (
     intern_advertisement,
     row_materially_different,
 )
+from repro.bgp.metrics import StateReport
 from repro.bgp.policy import LowestCostPolicy, SelectionPolicy
 from repro.bgp.table import AdjRIBIn, RouteEntry
 from repro.devtools import sanitize
 from repro.exceptions import ProtocolError
+from repro.graphs.asgraph import ASGraph
 from repro.obs import names as metric_names
 from repro.types import Cost, NodeId, validate_cost
 
@@ -537,4 +546,141 @@ class BGPNode:
         return (
             f"{type(self).__name__}(id={self.node_id}, "
             f"cost={self.declared_cost}, routes={len(self.routes)})"
+        )
+
+
+NodeFactory = Callable[[NodeId, Cost, SelectionPolicy], BGPNode]
+
+
+def _default_factory(node_id: NodeId, cost: Cost, policy: SelectionPolicy) -> BGPNode:
+    return BGPNode(node_id, cost, policy)
+
+
+class ProtocolEngine:
+    """The node layer both protocol engines drive.
+
+    One node per AS, built by *node_factory*; the mutable adjacency that
+    link dynamics edit; Sect. 6's restart rule; and the sanitizer's
+    per-node checks.  Subclasses run the message exchange (staged or
+    event-driven) and implement :meth:`full_restart`.
+    """
+
+    def __init__(
+        self,
+        graph: ASGraph,
+        policy: Optional[SelectionPolicy],
+        node_factory: NodeFactory,
+        restart_on_events: bool,
+        obs: Optional[obs_mod.Obs],
+    ) -> None:
+        self.graph = graph
+        self.policy = policy or LowestCostPolicy()
+        # Ablation knob (E15): disable the Sect. 6 restart-on-change
+        # semantics to demonstrate why they are necessary.
+        self.restart_on_events = restart_on_events
+        # Explicit observer (None: report to the global default iff
+        # observability is enabled -- see repro.obs.active()).
+        self._obs = obs
+        self.nodes: Dict[NodeId, BGPNode] = {
+            node_id: node_factory(node_id, graph.cost(node_id), self.policy)
+            for node_id in graph.nodes
+        }
+        if obs is not None:
+            for node in self.nodes.values():
+                node.obs = obs
+        # The engine owns a mutable adjacency so that link dynamics do
+        # not require rebuilding node state.
+        self.adjacency: Dict[NodeId, Set[NodeId]] = {
+            node: set(graph.neighbors(node)) for node in graph.nodes
+        }
+        # Per-node route-key snapshots for the sanitizer's monotone
+        # convergence check.  Monotonicity holds only from a cold start:
+        # warm reconvergence after an event (e.g. a cost increase under
+        # restart_on_events=False) legitimately worsens routes, so the
+        # check is disarmed then and re-armed by a full restart.
+        self._sanitize_baseline: Dict[NodeId, sanitize.RouteKeySnapshot] = {}
+        self._sanitize_monotone_armed = True
+
+    # ------------------------------------------------------------------
+    # Dynamics
+    # ------------------------------------------------------------------
+    def _restart_derived_state(self) -> None:
+        """Apply Sect. 6's restart semantics after a network change.
+
+        "The process of converging begins again each time a route is
+        changed."  For price-computing networks this must be a *full*
+        protocol restart: price state derived from any pre-event
+        advertisement is unusable (a stale route cost can make a price
+        candidate undercut the new true price, and the monotone minimum
+        never recovers), and a node cannot locally tell pre-event
+        information from post-event information.  Plain BGP networks
+        are left warm -- path-vector routing is self-correcting and its
+        incremental reconvergence is itself worth measuring.
+        """
+        # A warm reconvergence epoch is not monotone (stale low-cost
+        # routes persist until the news propagates); disarm the check.
+        self._sanitize_baseline.clear()
+        self._sanitize_monotone_armed = False
+        needs_restart = self.restart_on_events and any(
+            node.RESTART_ON_EVENT for node in self.nodes.values()
+        )
+        if needs_restart:
+            self.full_restart()
+
+    def full_restart(self) -> None:  # pragma: no cover - abstract
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    # Sanitizer hooks
+    # ------------------------------------------------------------------
+    def _has_live_link(self, u: NodeId, v: NodeId) -> bool:
+        return v in self.adjacency.get(u, ())
+
+    def _sanitize_node(
+        self, node_id: NodeId, node: BGPNode, monotone: bool = True
+    ) -> None:
+        """Invariant checks on one node (only when the sanitizer is on):
+        every selected path is a simple, endpoint-correct walk, and
+        (with *monotone*) no selected route key worsened within the
+        current epoch.  The live-link part of the path check, like
+        monotonicity, is only sound in a cold epoch: during warm
+        reconvergence, path-vector routing legitimately holds routes
+        through a failed link until the withdrawal propagates."""
+        armed = self._sanitize_monotone_armed
+        if armed:
+            has_edge = self._has_live_link
+        else:
+            has_edge = lambda u, v: True  # noqa: E731 - stale links allowed warm
+        for destination in sorted(node.routes):
+            sanitize.check_path(
+                node.routes[destination].path,
+                has_edge=has_edge,
+                source=node_id,
+                destination=destination,
+            )
+        if armed and monotone:
+            current = sanitize.snapshot_routes(node.routes)
+            previous = self._sanitize_baseline.get(node_id)
+            if previous is not None:
+                sanitize.check_routes_monotone(node_id, previous, current)
+            self._sanitize_baseline[node_id] = current
+
+    # ------------------------------------------------------------------
+    # Inspection
+    # ------------------------------------------------------------------
+    def node(self, node_id: NodeId) -> BGPNode:
+        return self.nodes[node_id]
+
+    def state_report(self) -> StateReport:
+        loc = {}
+        adj = {}
+        price = {}
+        for node_id, node in self.nodes.items():
+            loc[node_id] = node.table_size_entries()
+            adj[node_id] = node.rib_in.size_entries()
+            price[node_id] = sum(
+                len(node._prices_for(destination)) for destination in node.routes
+            )
+        return StateReport(
+            loc_rib_entries=loc, adj_rib_in_entries=adj, price_entries=price
         )

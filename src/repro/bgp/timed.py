@@ -1,9 +1,8 @@
 """Discrete-event timed BGP substrate: link delays, jitter, and MRAI.
 
-The paper's Sect. 5 model abstracts time away into stage counts, and the
-:class:`~repro.bgp.engine.AsynchronousEngine` relaxes it only as far as
-uniformly jittered deliveries.  :class:`TimedEngine` is the full
-discrete-event simulator: a priority queue of timestamped events drives
+The paper's Sect. 5 model abstracts time away into stage counts.
+:class:`TimedEngine` is the one event-driven engine: a priority queue of
+timestamped events drives
 
 * UPDATE deliveries with a pluggable seeded per-link delay distribution
   (:mod:`repro.bgp.delays`: constant / uniform-jitter / lognormal),
@@ -13,33 +12,39 @@ discrete-event simulator: a priority queue of timestamped events drives
   scheduled at a virtual timestamp, including LINK_DOWN / LINK_UP while
   UPDATEs are still in flight).
 
-The transport is the delta substrate throughout
+Its default configuration -- ``UniformDelay(0.1, 1.0)`` jitter, MRAI
+off, no scheduled events -- is the asynchronous relaxation of the stage
+model that ``run(asynchronous=True)`` selects: every table transmission
+has an independent random delay and nodes process one delivery at a
+time.
+
+The transport is the delta substrate
 (:class:`~repro.bgp.messages.RouteDelta` + dirty-set scheduling);
 restored links get one full-table initial sync, exactly as in the staged
-engine.
+engine.  ``fifo_links=False`` is the reordering ablation (E15): without
+the per-link FIFO clamp a delta could apply against the wrong baseline,
+so every transmission carries the full published table, and MRAI (whose
+coalescing assumes in-order delivery) is rejected.
 
 Determinism contract
 --------------------
 A run is a pure function of ``(graph, seed, configuration)``: all
-randomness flows through one seeded :class:`random.Random`, heap ties
-break on a monotone sequence number, and every iteration over node or
-neighbor sets is sorted.  In the *async-equivalent configuration* --
-``delay=UniformDelay(lo, hi)``, ``mrai=None``, no scheduled events --
-the engine consumes the RNG in exactly the order the asynchronous engine
-does (one ``uniform`` draw per (transmission, neighbor) in ascending
-neighbor order) and applies the same per-link FIFO clamp, so the
-delivered-message schedule, the final model, and the transport counters
-are bit-identical to ``AsynchronousEngine(seed=seed)``.
+randomness flows through one seeded :class:`random.Random` (one delay
+draw per (transmission, neighbor), in ascending neighbor order), heap
+ties break on a monotone sequence number, and every iteration over node
+or neighbor sets is sorted.  ``tests/test_timed_protocol.py`` pins the
+delivery schedule, converged model and transport counters of the
+default configuration, FIFO and reordered, as sha256 digests.
 
-Losses and epochs
------------------
+Losses and sessions
+-------------------
 BGP sessions die with their link: an UPDATE in flight across a link
-that fails is never delivered.  Each direction of a link carries an
-epoch counter, bumped on failure; deliveries whose stamped epoch is
-stale are dropped (counted in ``messages_lost`` / ``rows_lost``).  A
-Sect. 6 full restart bumps a global update epoch instead, dropping
-*all* in-flight traffic -- the session-reset semantics of
-"convergence begins again".
+that fails is never delivered.  Each direction of a link runs a
+:class:`_Session`, and every UPDATE travels on the session that was up
+when it was sent.  A link failure tears down its two sessions, a Sect. 6
+full restart tears down all of them -- the session-reset semantics of
+"convergence begins again" -- and UPDATEs whose session is down when
+they arrive are dropped (counted in ``messages_lost`` / ``rows_lost``).
 """
 
 from __future__ import annotations
@@ -48,16 +53,15 @@ import heapq
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 import repro.obs as obs_mod
 from repro.bgp.delays import DelayModel, UniformDelay, resolve_delay
-from repro.bgp.engine import NodeFactory, _default_factory
 from repro.bgp.events import NetworkEvent
 from repro.bgp.messages import RouteAdvertisement, RouteDelta
-from repro.bgp.metrics import StateReport, TimedReport
-from repro.bgp.node import BGPNode
-from repro.bgp.policy import LowestCostPolicy, SelectionPolicy
+from repro.bgp.metrics import TimedReport
+from repro.bgp.node import NodeFactory, ProtocolEngine, _default_factory
+from repro.bgp.policy import SelectionPolicy
 from repro.devtools import sanitize
 from repro.exceptions import ConvergenceError, ProtocolError
 from repro.graphs.asgraph import ASGraph
@@ -80,6 +84,22 @@ _Body = Union[RouteDelta, Tuple[RouteAdvertisement, ...]]
 
 #: MRAI timer key: (sender, peer) or (sender, peer, destination).
 _MraiKey = Union[Tuple[NodeId, NodeId], Tuple[NodeId, NodeId, NodeId]]
+
+
+class _Session:
+    """One direction of a link's BGP session.
+
+    ``clock`` is the FIFO clamp, the arrival time of the latest UPDATE
+    sent on the link; a replacement session inherits it.  ``up`` turns
+    False when the session is torn down, which loses every UPDATE still
+    in flight on it.
+    """
+
+    __slots__ = ("clock", "up")
+
+    def __init__(self, clock: float = 0.0) -> None:
+        self.clock = clock
+        self.up = True
 
 
 @dataclass(frozen=True)
@@ -134,18 +154,22 @@ def resolve_mrai(spec: "dict | MRAIConfig | None") -> "MRAIConfig | None":
     )
 
 
-class TimedEngine:
+class TimedEngine(ProtocolEngine):
     """Discrete-event relaxation of the stage model with real timers.
 
-    The event loop pops ``(when, seq, kind, payload)`` entries off a
-    heap; ``when`` is virtual time (monotone: delays and intervals are
+    The event loop pops ``(when, seq, kind, ...)`` entries off a heap;
+    ``when`` is virtual time (monotone: delays and intervals are
     nonnegative, and scheduling into the past is rejected), ``seq`` a
-    global monotone counter that makes tie-breaking deterministic.
+    global monotone counter that makes tie-breaking deterministic (so
+    no comparison ever reaches the rest of the entry).  Network and MRAI
+    entries carry one payload object; an UPDATE entry is
+    ``(when, seq, kind, link, session, body, rows)``, one tuple per
+    transmission.
     """
 
-    #: Opt-in delivery schedule recorder; same tuple format as
-    #: :attr:`AsynchronousEngine.delivery_log` (the differential tests
-    #: compare the two lists directly).
+    #: Opt-in delivery schedule recorder: set to a list and every
+    #: delivery appends ``(when, sender, receiver, rows)`` (the golden
+    #: tests pin its digest).
     delivery_log: Optional[List[Tuple[float, NodeId, NodeId, int]]] = None
 
     #: Opt-in full event trace: every pop appends
@@ -165,44 +189,32 @@ class TimedEngine:
         fifo_links: bool = True,
         obs: Optional[obs_mod.Obs] = None,
     ) -> None:
-        if not fifo_links:
-            raise ProtocolError(
-                "the timed engine rides the delta transport, which requires "
-                "per-link FIFO delivery; use AsynchronousEngine(fifo_links="
-                "False) for the reordering ablation"
-            )
-        self.graph = graph
-        self.policy = policy or LowestCostPolicy()
-        self.restart_on_events = restart_on_events
-        #: Same defaults as the asynchronous engine's [0.1, 1.0] jitter.
-        #: Spec strings / keyword dicts coerce here, so every caller --
-        #: api.run, the CLI, the benchmarks -- shares one parsing path.
+        super().__init__(graph, policy, node_factory, restart_on_events, obs)
+        #: Default: the asynchronous [0.1, 1.0] jitter.  Spec strings /
+        #: keyword dicts coerce here, so every caller -- api.run, the
+        #: CLI, the benchmarks -- shares one parsing path.
         resolved_delay = resolve_delay(delay)
         self.delay = resolved_delay if resolved_delay is not None else UniformDelay()
         self.mrai = resolve_mrai(mrai)
-        self._obs = obs
-        self.nodes: Dict[NodeId, BGPNode] = {
-            node_id: node_factory(node_id, graph.cost(node_id), self.policy)
-            for node_id in graph.nodes
-        }
-        if obs is not None:
-            for node in self.nodes.values():
-                node.obs = obs
-        self.adjacency: Dict[NodeId, Set[NodeId]] = {
-            node: set(graph.neighbors(node)) for node in graph.nodes
-        }
+        # Per-link FIFO (TCP sessions): a transmission never arrives
+        # before an earlier one on the same directed link.  Ablation
+        # knob (E15): without it a newer table can be overtaken by an
+        # older one, so every transmission carries the full table, and
+        # MRAI, whose coalescing is only sound in order, is rejected.
+        self.fifo_links = fifo_links
+        if not fifo_links and self.mrai is not None:
+            raise ProtocolError(
+                "MRAI coalescing requires per-link FIFO delivery; "
+                "fifo_links=False takes no mrai="
+            )
         self._rng = random.Random(seed)
         self._clock = 0.0
         self._sequence = itertools.count()
-        self._queue: List[Tuple[float, int, str, object]] = []
-        # Per-link FIFO (TCP sessions): a transmission never arrives
-        # before an earlier one on the same directed link.
-        self._link_clock: Dict[Tuple[NodeId, NodeId], float] = {}
-        # Loss epochs: per-directed-link (bumped on failure) and global
-        # (bumped on full restart); UPDATEs stamped with stale epochs
-        # are dropped at delivery time.
-        self._link_epoch: Dict[Tuple[NodeId, NodeId], int] = {}
-        self._update_epoch = 0
+        self._queue: List[Tuple[Any, ...]] = []
+        # One session per directed link (see _Session).
+        self._sessions: Dict[Tuple[NodeId, NodeId], _Session] = {
+            (u, v): _Session() for u in self.adjacency for v in self.adjacency[u]
+        }
         # Restored links awaiting their initial full-table sync.
         self._unsynced: Set[Tuple[NodeId, NodeId]] = set()
         # MRAI state: earliest next-send time per timer scope, pending
@@ -212,8 +224,8 @@ class TimedEngine:
         self._mrai_pending: Dict[Tuple[NodeId, NodeId], Dict[NodeId, Optional[RouteAdvertisement]]] = {}
         self._mrai_armed: Dict[_MraiKey, int] = {}
         self._mrai_token = 0
-        # Accounting (cumulative across run() calls, like the async
-        # engine's): see TimedReport for the reconciliation invariants.
+        # Accounting (cumulative across run() calls): see TimedReport
+        # for the reconciliation invariants.
         self.deliveries = 0
         self.messages_lost = 0
         self.rows_offered = 0
@@ -233,11 +245,6 @@ class TimedEngine:
         # deltas are taken against this, so initialization traffic is
         # attributed to the first observed run.
         self._emitted = TimedReport(converged=False)
-        # Sanitizer state (see SynchronousEngine: monotonicity only
-        # holds in a cold epoch, so events disarm the check and a full
-        # restart re-arms it).
-        self._sanitize_baseline: Dict[NodeId, sanitize.RouteKeySnapshot] = {}
-        self._sanitize_monotone_armed = True
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -282,52 +289,57 @@ class TimedEngine:
             self._queue, (when, next(self._sequence), EVENT_NETWORK, event)
         )
 
-    def _transmit(self, sender: NodeId, neighbor: NodeId, body: _Body) -> None:
-        """Put one transmission on the wire: sample the link delay,
-        apply the per-link FIFO clamp, stamp the loss epochs."""
-        link = (sender, neighbor)
-        delay = self.delay.sample(self._rng)
-        when = max(self._clock + delay, self._link_clock.get(link, 0.0))
-        self._link_clock[link] = when
-        rows = body.size_rows() if isinstance(body, RouteDelta) else len(body)
+    def _transmit(self, link: Tuple[NodeId, NodeId], body: _Body, rows: int) -> None:
+        """Put one transmission of *rows* rows on the directed *link*:
+        sample the link delay, apply the per-link FIFO clamp, and send it
+        on the link's current session.  The row count rides in the queue
+        entry, so it is computed once per broadcast, not once per hop."""
+        session = self._sessions[link]
+        when = self._clock + self.delay.sample(self._rng)
+        if self.fifo_links:
+            if session.clock > when:
+                when = session.clock
+            session.clock = when
         self.rows_sent += rows
-        payload = (
-            sender,
-            neighbor,
-            self._link_epoch.get(link, 0),
-            self._update_epoch,
-            body,
-        )
         heapq.heappush(
-            self._queue, (when, next(self._sequence), EVENT_UPDATE, payload)
+            self._queue,
+            (when, next(self._sequence), EVENT_UPDATE, link, session, body, rows),
         )
 
     def _broadcast_delta(self, sender: NodeId, delta: RouteDelta) -> None:
         """Offer a publication delta to every live neighbor.
 
-        Restored links get the full published table once (bypassing
-        MRAI: the initial sync *is* the session establishment); all
-        other links get the delta, through the MRAI layer when one is
-        configured.  ``rows_suppressed`` uses the asynchronous engine's
-        formula (published rows the delta avoided resending), counted
-        per neighbor at offer time so the counters stay bit-identical
-        in the async-equivalent configuration.
+        Without FIFO links every neighbor gets the full published
+        table; with them, restored links get it once (bypassing MRAI:
+        the initial sync *is* the session establishment) and all other
+        links get the delta, through the MRAI layer when one is
+        configured.  Each delta offer adds its rows to ``rows_offered``
+        and the published rows it avoided resending to
+        ``rows_suppressed``; full tables suppress nothing.
         """
         node = self.nodes[sender]
-        suppressed = node.published_rows - len(delta.updates)
+        rows = delta.size_rows()
+        full_tables = not self.fifo_links
+        unsynced = self._unsynced
+        mrai = self.mrai
+        table: Optional[Tuple[RouteAdvertisement, ...]] = None
+        offers = 0
         for neighbor in sorted(self.adjacency[sender]):
-            if (sender, neighbor) in self._unsynced:
-                self._unsynced.discard((sender, neighbor))
-                table = node.published_table()
+            link = (sender, neighbor)
+            if full_tables or link in unsynced:
+                unsynced.discard(link)
+                if table is None:
+                    table = node.published_table()
                 self.rows_offered += len(table)
-                self._transmit(sender, neighbor, table)
-                continue
-            self.rows_offered += delta.size_rows()
-            self.rows_suppressed += suppressed
-            if self.mrai is None:
-                self._transmit(sender, neighbor, delta)
+                self._transmit(link, table, len(table))
+            elif mrai is None:
+                offers += 1
+                self._transmit(link, delta, rows)
             else:
+                offers += 1
                 self._offer_mrai(sender, neighbor, delta)
+        self.rows_offered += rows * offers
+        self.rows_suppressed += (node.published_rows - len(delta.updates)) * offers
 
     # ------------------------------------------------------------------
     # MRAI layer
@@ -371,7 +383,7 @@ class TimedEngine:
                 send_withdrawals.append(destination)
         if send_updates or send_withdrawals:
             out = RouteDelta(sender, tuple(send_updates), tuple(send_withdrawals))
-            self._transmit(sender, neighbor, out)
+            self._transmit(link, out, out.size_rows())
             self._stamp_mrai(link, out)
 
     def _defer_row(
@@ -449,7 +461,7 @@ class TimedEngine:
         )
         out = RouteDelta(link[0], updates, withdrawals)
         self.mrai_flushes += 1
-        self._transmit(link[0], link[1], out)
+        self._transmit(link, out, out.size_rows())
         self._stamp_mrai(link, out)
 
     def _discard_mrai_link(self, link: Tuple[NodeId, NodeId]) -> None:
@@ -537,64 +549,84 @@ class TimedEngine:
             if max_events is not None
             else 200 * self.graph.num_nodes**2
         )
-        while self._queue:
-            if self._events_processed >= limit:
-                raise ConvergenceError(stages=self._events_processed, limit=limit)
-            when, _seq, kind, payload = heapq.heappop(self._queue)
-            # Heap order + nonnegative delays/intervals keep this
-            # monotone; schedule_event rejects past timestamps.
-            self._clock = when
-            self._events_processed += 1
-            if kind == EVENT_NETWORK:
-                if self.event_log is not None:
-                    self.event_log.append((when, kind, payload.describe()))  # type: ignore[union-attr]
-                self.network_events += 1
-                payload.apply(self)  # type: ignore[union-attr]
-                continue
-            if kind == EVENT_MRAI:
-                if self.event_log is not None:
-                    self.event_log.append((when, kind, payload[1]))  # type: ignore[index]
-                self._expire_mrai(payload)
-                continue
-            sender, receiver, link_epoch, update_epoch, body = payload  # type: ignore[misc]
-            rows = body.size_rows() if isinstance(body, RouteDelta) else len(body)
-            if self.event_log is not None:
-                self.event_log.append((when, kind, (sender, receiver, rows)))
-            if (
-                link_epoch != self._link_epoch.get((sender, receiver), 0)
-                or update_epoch != self._update_epoch
-            ):
-                # The session this UPDATE was sent on no longer exists.
-                self.messages_lost += 1
-                self.rows_lost += rows
-                continue
-            self.deliveries += 1
-            self.rows_delivered += rows
-            self.convergence_time = when
-            if self.delivery_log is not None:
-                self.delivery_log.append((when, sender, receiver, rows))
-            node = self.nodes[receiver]
-            if isinstance(body, RouteDelta):
-                dirty = node.receive_delta(sender, body)
-            else:
-                dirty = node.receive_table(sender, body)
-            if sanitize.enabled():
-                # Every delivery re-decides so the invariant checks see
-                # the complete decision process: change-driven and then
-                # checked against a full decision, or fully when nothing
-                # is dirty.
-                node.decide(dirty or None)
-                self._sanitize_delivery(receiver, node)
-            elif dirty:
-                node.decide(dirty)
-            else:
-                continue  # inputs unchanged: no recompute, no rebroadcast
-            delta = node.publication_delta()
-            if not delta.is_empty:
-                self._broadcast_delta(
-                    receiver, RouteDelta(receiver, delta.updates, delta.withdrawals)
-                )
+        # One iteration per event: loop invariants and the per-delivery
+        # counters live in locals (written back on every exit).
+        queue = self._queue
+        heappop = heapq.heappop
+        nodes = self.nodes
+        event_log = self.event_log
+        delivery_log = self.delivery_log
+        sanitizing = sanitize.enabled()
+        processed = self._events_processed
+        deliveries = self.deliveries
+        rows_delivered = self.rows_delivered
+        last_delivery = self.convergence_time
+        try:
+            while queue:
+                if processed >= limit:
+                    raise ConvergenceError(stages=processed, limit=limit)
+                processed += 1
+                entry = heappop(queue)
+                # Heap order + nonnegative delays/intervals keep this
+                # monotone; schedule_event rejects past timestamps.
+                self._clock = entry[0]
+                if entry[2] != EVENT_UPDATE:
+                    self._fire(entry)
+                    continue
+                when, _seq, kind, link, session, body, rows = entry
+                sender, receiver = link
+                if event_log is not None:
+                    event_log.append((when, kind, (sender, receiver, rows)))
+                if not session.up:
+                    # Sent on a session torn down since: lost.
+                    self.messages_lost += 1
+                    self.rows_lost += rows
+                    continue
+                deliveries += 1
+                rows_delivered += rows
+                last_delivery = when
+                if delivery_log is not None:
+                    delivery_log.append((when, sender, receiver, rows))
+                node = nodes[receiver]
+                if isinstance(body, RouteDelta):
+                    dirty = node.receive_delta(sender, body)
+                else:
+                    dirty = node.receive_table(sender, body)
+                if sanitizing:
+                    # Every delivery re-decides so the invariant checks
+                    # see the complete decision process: change-driven
+                    # and then checked against a full decision, or fully
+                    # when nothing is dirty.
+                    node.decide(dirty or None)
+                    self._sanitize_node(receiver, node, monotone=self.fifo_links)
+                elif dirty:
+                    node.decide(dirty)
+                else:
+                    continue  # inputs unchanged: no recompute, no rebroadcast
+                delta = node.publication_delta()
+                if not delta.is_empty:
+                    self._broadcast_delta(
+                        receiver, RouteDelta(receiver, delta.updates, delta.withdrawals)
+                    )
+        finally:
+            self._events_processed = processed
+            self.deliveries = deliveries
+            self.rows_delivered = rows_delivered
+            self.convergence_time = last_delivery
         return self._report()
+
+    def _fire(self, entry: Tuple[Any, ...]) -> None:
+        """Handle a network-event or MRAI-expiry queue entry."""
+        when, _seq, kind, payload = entry
+        if kind == EVENT_NETWORK:
+            if self.event_log is not None:
+                self.event_log.append((when, kind, payload.describe()))
+            self.network_events += 1
+            payload.apply(self)
+        else:
+            if self.event_log is not None:
+                self.event_log.append((when, kind, payload[1]))
+            self._expire_mrai(payload)
 
     def _report(self) -> TimedReport:
         return TimedReport(
@@ -622,16 +654,16 @@ class TimedEngine:
     def fail_link(self, u: NodeId, v: NodeId) -> None:
         """Remove the link ``(u, v)`` at the current virtual time.
 
-        In-flight UPDATEs on the link are lost (epoch bump), pending
-        MRAI rows die with the session, and both endpoints drop what
-        they learned over it and republish.
+        In-flight UPDATEs on the link are lost (its sessions are torn
+        down), pending MRAI rows die with the session, and both
+        endpoints drop what they learned over it and republish.
         """
         if v not in self.adjacency.get(u, ()):  # pragma: no cover - guard
             raise ProtocolError(f"no live link between {u} and {v}")
         self.adjacency[u].discard(v)
         self.adjacency[v].discard(u)
+        self._reset_sessions(((u, v), (v, u)))
         for link in ((u, v), (v, u)):
-            self._link_epoch[link] = self._link_epoch.get(link, 0) + 1
             self._unsynced.discard(link)
             self._discard_mrai_link(link)
         for end, other in ((u, v), (v, u)):
@@ -658,6 +690,8 @@ class TimedEngine:
             raise ProtocolError(f"unknown endpoint on link ({u}, {v})")
         self.adjacency[u].add(v)
         self.adjacency[v].add(u)
+        for link in ((u, v), (v, u)):
+            self._sessions.setdefault(link, _Session())
         self._unsynced.update(((u, v), (v, u)))
         self._restart_derived_state()
         for sender, receiver in ((u, v), (v, u)):
@@ -665,7 +699,15 @@ class TimedEngine:
                 self._unsynced.discard((sender, receiver))
                 table = self.nodes[sender].published_table()
                 self.rows_offered += len(table)
-                self._transmit(sender, receiver, table)
+                self._transmit((sender, receiver), table, len(table))
+
+    def _reset_sessions(self, links: Iterable[Tuple[NodeId, NodeId]]) -> None:
+        """Tear down the sessions of *links*, losing their in-flight
+        UPDATEs; each replacement keeps the FIFO clock."""
+        for link in links:
+            old = self._sessions[link]
+            old.up = False
+            self._sessions[link] = _Session(old.clock)
 
     def change_cost(self, node_id: NodeId, cost: Cost) -> None:
         """Node *node_id* re-declares its per-packet cost."""
@@ -679,25 +721,13 @@ class TimedEngine:
             )
         self._restart_derived_state()
 
-    def _restart_derived_state(self) -> None:
-        """Sect. 6 restart semantics after a network change (see
-        :meth:`SynchronousEngine._restart_derived_state`: price state
-        cannot survive an event, plain BGP reconverges warm)."""
-        self._sanitize_baseline.clear()
-        self._sanitize_monotone_armed = False
-        needs_restart = self.restart_on_events and any(
-            node.RESTART_ON_EVENT for node in self.nodes.values()
-        )
-        if needs_restart:
-            self.full_restart()
-
     def full_restart(self) -> None:
         """Session-reset everything: drop all in-flight traffic and all
-        MRAI state (global epoch bump), forget learned routes, and
-        republish from scratch at the current virtual time."""
+        MRAI state, forget learned routes, and republish from scratch at
+        the current virtual time."""
         self._sanitize_baseline.clear()
         self._sanitize_monotone_armed = True
-        self._update_epoch += 1
+        self._reset_sessions(list(self._sessions))
         self._discard_all_mrai()
         for node_id, node in self.nodes.items():
             node.restart()
@@ -706,52 +736,3 @@ class TimedEngine:
                 self._broadcast_delta(
                     node_id, RouteDelta(node_id, delta.updates, delta.withdrawals)
                 )
-
-    # ------------------------------------------------------------------
-    # Sanitizer hooks
-    # ------------------------------------------------------------------
-    def _has_live_link(self, u: NodeId, v: NodeId) -> bool:
-        return v in self.adjacency.get(u, ())
-
-    def _sanitize_delivery(self, receiver: NodeId, node: BGPNode) -> None:
-        """Invariant checks after one delivery (sanitizer on only).
-        Warm reconvergence legitimately holds routes through dead links
-        and worsens route keys, so both checks follow the armed flag."""
-        if self._sanitize_monotone_armed:
-            has_edge = self._has_live_link
-        else:
-            has_edge = lambda u, v: True  # noqa: E731 - stale links allowed warm
-        for destination in sorted(node.routes):
-            entry = node.routes[destination]
-            sanitize.check_path(
-                entry.path,
-                has_edge=has_edge,
-                source=receiver,
-                destination=destination,
-            )
-        if self._sanitize_monotone_armed:
-            current = sanitize.snapshot_routes(node.routes)
-            previous = self._sanitize_baseline.get(receiver)
-            if previous is not None:
-                sanitize.check_routes_monotone(receiver, previous, current)
-            self._sanitize_baseline[receiver] = current
-
-    # ------------------------------------------------------------------
-    # Inspection
-    # ------------------------------------------------------------------
-    def node(self, node_id: NodeId) -> BGPNode:
-        return self.nodes[node_id]
-
-    def state_report(self) -> StateReport:
-        loc = {}
-        adj = {}
-        price = {}
-        for node_id, node in self.nodes.items():
-            loc[node_id] = node.table_size_entries()
-            adj[node_id] = node.rib_in.size_entries()
-            price[node_id] = sum(
-                len(node._prices_for(destination)) for destination in node.routes
-            )
-        return StateReport(
-            loc_rib_entries=loc, adj_rib_in_entries=adj, price_entries=price
-        )

@@ -1,10 +1,11 @@
 """One-call runners for the distributed mechanism.
 
 :func:`distributed_mechanism` wires price-computing nodes into the
-synchronous (or asynchronous) engine, runs to quiescence, and packages
-the network-wide result; :func:`timed_mechanism` does the same on the
-discrete-event timed substrate.  Both are normally reached through the
-unified dispatcher :func:`repro.core.run.run`.
+staged synchronous engine, runs to quiescence, and packages the
+network-wide result; :func:`timed_mechanism` does the same on the
+discrete-event timed substrate, whose default configuration is the
+asynchronous run.  Both are normally reached through the unified
+dispatcher :func:`repro.core.run.run`.
 :func:`verify_against_centralized` compares every route and every price
 against the centralized Theorem 1 reference -- the end-to-end
 correctness statement of the reproduction.
@@ -18,7 +19,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import repro.obs as obs_mod
 from repro.bgp.delays import DelayModel
-from repro.bgp.engine import AsynchronousEngine, SynchronousEngine
+from repro.bgp.engine import SynchronousEngine
 from repro.bgp.timed import MRAIConfig, TimedEngine
 from repro.devtools import sanitize
 from repro.bgp.metrics import ConvergenceReport, TimedReport
@@ -80,7 +81,7 @@ class DistributedPriceResult:
     """Everything the distributed protocol computed."""
 
     graph: ASGraph
-    engine: Union[SynchronousEngine, AsynchronousEngine, TimedEngine]
+    engine: Union[SynchronousEngine, TimedEngine]
     report: Union[ConvergenceReport, TimedReport]
     mode: UpdateMode
 
@@ -125,14 +126,13 @@ def distributed_mechanism(
     graph: ASGraph,
     mode: UpdateMode = UpdateMode.MONOTONE,
     policy: Optional[SelectionPolicy] = None,
-    asynchronous: bool = False,
-    seed: int = 0,
     max_stages: Optional[int] = None,
     obs: Optional[obs_mod.Obs] = None,
     *,
     protocol: str = "delta",
 ) -> DistributedPriceResult:
-    """Run the full FPSS protocol (routes + prices) to quiescence.
+    """Run the full FPSS protocol (routes + prices) to quiescence on the
+    staged Sect. 5 engine.
 
     *obs* names an explicit :class:`repro.obs.Obs` observer, forwarded
     to the protocol engine so the run's stage/message/table metrics are
@@ -157,29 +157,15 @@ def distributed_mechanism(
     def factory(node_id: NodeId, cost: Cost, pol: SelectionPolicy) -> PriceComputingNode:
         return PriceComputingNode(node_id, cost, pol, mode=mode)
 
-    incremental = protocol != "full"
-    engine: Union[SynchronousEngine, AsynchronousEngine]
-    if asynchronous:
-        engine = AsynchronousEngine(
-            graph,
-            policy=policy,
-            node_factory=factory,
-            seed=seed,
-            incremental=incremental,
-            obs=obs,
-        )
-        engine.initialize()
-        report = engine.run()
-    else:
-        engine = SynchronousEngine(
-            graph,
-            policy=policy,
-            node_factory=factory,
-            incremental=incremental,
-            obs=obs,
-        )
-        engine.initialize()
-        report = engine.run(max_stages=max_stages)
+    engine = SynchronousEngine(
+        graph,
+        policy=policy,
+        node_factory=factory,
+        incremental=protocol != "full",
+        obs=obs,
+    )
+    engine.initialize()
+    report = engine.run(max_stages=max_stages)
     if sanitize.enabled():
         # End-to-end validation of the converged state: every selected
         # route re-verified against Dijkstra, every price against the
@@ -209,7 +195,7 @@ def timed_mechanism(
     """Run the FPSS protocol on the discrete-event timed substrate.
 
     *delay* is the seeded per-link delay distribution (default: the
-    asynchronous engine's uniform [0.1, 1.0] jitter), given either as a
+    asynchronous run's uniform [0.1, 1.0] jitter), given either as a
     :class:`DelayModel` or as a ``"kind:params"`` spec string
     (:func:`repro.bgp.delays.parse_delay`); *mrai* is the optional
     hold-down timer configuration, an :class:`MRAIConfig` or a keyword

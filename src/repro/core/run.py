@@ -1,8 +1,8 @@
 """The unified entry point: one ``run()`` for every protocol flavor.
 
-Distributed runs come in four shapes -- staged or asynchronous without
-events (:func:`~repro.core.protocol.distributed_mechanism`), staged
-with scripted events (:func:`~repro.core.dynamics.dynamic_scenario`),
+Distributed runs come in four shapes -- staged without events
+(:func:`~repro.core.protocol.distributed_mechanism`), staged with
+scripted events (:func:`~repro.core.dynamics.dynamic_scenario`),
 discrete-event without events
 (:func:`~repro.core.protocol.timed_mechanism`), and discrete-event
 with scheduled events (:func:`~repro.core.dynamics.timed_scenario`).
@@ -25,10 +25,15 @@ The return type is the matching runner's report --
 identical to what that runner produces, which is what
 ``tests/test_api_run.py`` asserts.
 
+``asynchronous=True`` is the timed substrate in its default
+configuration (uniform [0.1, 1.0] delays, MRAI off); the spelling
+remains because the benchmark suite (``benchmarks/suite/workloads.py``)
+calls it.
+
 Keyword knobs that only exist on one substrate are validated here, so a
 meaningless combination (``mrai=`` on the staged engine, ``engine=`` on
-a static run) fails fast with :class:`MechanismError` instead of being
-silently dropped.
+a static run, ``max_stages=`` on an event loop) fails fast with
+:class:`MechanismError` instead of being silently dropped.
 """
 
 from __future__ import annotations
@@ -105,6 +110,9 @@ def run(
                              one run (:class:`TimedScenarioResult`)
     ==========  ===========  ==========================================
 
+    ``asynchronous=True`` takes the ``timed``/``None`` cell with the
+    default delays.
+
     *delay* accepts a :class:`DelayModel` or a spec string
     (``"uniform:0.1,1.0"``); *mrai* an :class:`MRAIConfig` or a keyword
     dict -- both timed-only.  *engine* (dynamic staged runs only) picks
@@ -112,13 +120,15 @@ def run(
     *sanitize* overrides the global sanitizer switch for this run:
     ``True`` forces the precondition/postcondition checks on, ``False``
     off, ``None`` (default) leaves the ambient setting.  *asynchronous*
-    (static staged runs only) uses the seeded asynchronous engine.
+    (static runs only) runs the timed substrate with its default
+    delays, seeded by *seed* and bounded by *max_events*.
     """
     if protocol not in _PROTOCOLS:
         raise MechanismError(
             f"unknown protocol {protocol!r}; expected one of {_PROTOCOLS}"
         )
     timed = protocol == "timed"
+    event_loop = timed or asynchronous
     _reject(
         not timed and delay is not None,
         "delay= is a timed-substrate knob; pass protocol='timed'",
@@ -128,19 +138,24 @@ def run(
         "mrai= is a timed-substrate knob; pass protocol='timed'",
     )
     _reject(
-        not timed and max_events is not None,
+        not event_loop and max_events is not None,
         "max_events= bounds the timed event loop; pass protocol='timed' "
-        "(staged runs are bounded by max_stages=)",
+        "or asynchronous=True (staged runs are bounded by max_stages=)",
     )
     _reject(
-        timed and max_stages is not None,
-        "max_stages= bounds the staged engine; the timed substrate is "
-        "bounded by max_events=",
+        event_loop and max_stages is not None,
+        "max_stages= bounds the staged engine; the timed event loop "
+        "(protocol='timed' or asynchronous=True) is bounded by max_events=",
     )
     _reject(
         timed and asynchronous,
-        "asynchronous= selects the staged asynchronous engine; the timed "
-        "substrate is always event-driven",
+        "asynchronous= is the timed substrate's default configuration; "
+        "pass protocol='timed' or asynchronous=True, not both",
+    )
+    _reject(
+        asynchronous and protocol == "full",
+        "asynchronous= runs the timed substrate's delta transport; "
+        "protocol='full' is staged-only",
     )
     _reject(
         asynchronous and events is not None,
@@ -154,7 +169,7 @@ def run(
     )
 
     def dispatch() -> RunResult:
-        if timed:
+        if event_loop:
             if events is None:
                 return timed_mechanism(
                     graph,
@@ -182,8 +197,6 @@ def run(
                 graph,
                 mode,
                 policy,
-                asynchronous=asynchronous,
-                seed=seed,
                 max_stages=max_stages,
                 obs=obs,
                 protocol=protocol,

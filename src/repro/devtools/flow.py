@@ -35,11 +35,12 @@ Pipeline
 
 ``RPR007`` -- **transitive nondeterminism at a contract entry point.**
     ``all_pairs_lcp``, ``compute_price_table``,
-    ``distributed_mechanism``, and every registered engine's
-    route/price methods must be transitively deterministic (no RNG, no
-    wall clock, no unordered-set iteration anywhere beneath them) and
-    must not mutate their ``graph`` argument.  The finding message
-    carries the full call chain down to the offending line.
+    ``distributed_mechanism``, ``timed_mechanism``, and every registered
+    engine's route/price methods must be transitively deterministic (no
+    global RNG, no wall clock, no unordered-set iteration anywhere
+    beneath them) and must not mutate their ``graph`` argument.  The
+    finding message carries the full call chain down to the offending
+    line.
 
 ``RPR008`` -- **cache write outside the commit path.**  The incremental
     engine's epoch caches may only be written inside its declared
@@ -203,6 +204,7 @@ ENTRY_CONTRACTS: Tuple[EntryContract, ...] = (
     EntryContract("routing/allpairs.py", "all_pairs_lcp"),
     EntryContract("mechanism/vcg.py", "compute_price_table"),
     EntryContract("core/protocol.py", "distributed_mechanism"),
+    EntryContract("core/protocol.py", "timed_mechanism"),
 )
 
 #: Engine methods the determinism contract covers, resolved per

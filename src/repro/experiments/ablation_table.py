@@ -18,6 +18,10 @@ resulting failure (or, for the mode comparison, quantifies the trade):
   provides to real BGP), a newer table can be overwritten by an older
   one in flight and even the *routes* converge wrong.
 
+A3 and A4 run the asynchronous configuration of the timed engine
+(uniform [0.1, 1.0] delays, MRAI off); A4's reordered links carry full
+tables.
+
 The experiment PASSES when every disabled configuration exhibits its
 failure on at least one seed and every enabled configuration is exact
 on all of them.
@@ -28,9 +32,10 @@ from __future__ import annotations
 from typing import Callable, List, Tuple
 
 from repro.analysis.report import Table
-from repro.bgp.engine import AsynchronousEngine, SynchronousEngine
+from repro.bgp.engine import SynchronousEngine
 from repro.bgp.events import CostChange
 from repro.bgp.policy import LowestCostPolicy
+from repro.bgp.timed import TimedEngine
 from repro.core.price_node import PriceComputingNode, UpdateMode
 from repro.core.protocol import (
     DistributedPriceResult,
@@ -132,7 +137,7 @@ def _child_formula_ablation(seed: int, seeds_to_try: int) -> Tuple[Table, bool]:
                     literal_child_formula=literal,
                 )
 
-            engine = AsynchronousEngine(
+            engine = TimedEngine(
                 graph, policy=LowestCostPolicy(), node_factory=factory, seed=s
             )
             engine.initialize()
@@ -173,7 +178,7 @@ def _fifo_ablation(seed: int, seeds_to_try: int) -> Tuple[Table, bool]:
             def factory(node_id, cost, policy):
                 return PriceComputingNode(node_id, cost, policy)
 
-            engine = AsynchronousEngine(
+            engine = TimedEngine(
                 graph,
                 policy=LowestCostPolicy(),
                 node_factory=factory,

@@ -1,16 +1,20 @@
 """E3: the distributed protocol computes exactly the Theorem 1 prices.
 
 For every topology family, run the FPSS protocol (monotone and
-recompute modes, synchronous engine; plus an asynchronous run) and
-compare all n(n-1) routes and every per-pair price row against the
-centralized mechanism.
+recompute modes, synchronous engine; plus an asynchronous run, the
+timed engine's default configuration) and compare all n(n-1) routes and
+every per-pair price row against the centralized mechanism.
 """
 
 from __future__ import annotations
 
 from repro.analysis.report import Table
 from repro.core.price_node import UpdateMode
-from repro.core.protocol import distributed_mechanism, verify_against_centralized
+from repro.core.protocol import (
+    distributed_mechanism,
+    timed_mechanism,
+    verify_against_centralized,
+)
 from repro.experiments.instances import standard_instances
 from repro.experiments.registry import ExperimentResult
 from repro.mechanism.vcg import compute_price_table
@@ -47,9 +51,7 @@ def run(scale: str = "small", seed: int = 0) -> ExperimentResult:
                 verification.prices_checked,
                 len(verification.mismatches),
             )
-        async_result = distributed_mechanism(
-            graph, mode=UpdateMode.MONOTONE, asynchronous=True, seed=seed
-        )
+        async_result = timed_mechanism(graph, mode=UpdateMode.MONOTONE, seed=seed)
         async_verification = verify_against_centralized(async_result, table=reference)
         passed = passed and async_verification.ok
         out.add_row(

@@ -15,7 +15,7 @@ metric                     kind     paper measure
 ``bgp.entries_sent``       counter  communication volume in table entries
 ``bgp.rows_sent``          counter  rows actually transmitted (transport level)
 ``bgp.rows_suppressed``    counter  rows the delta transport avoided resending
-``bgp.deliveries``         counter  asynchronous-engine deliveries
+``bgp.deliveries``         counter  timed-engine (event-loop) deliveries
 ``bgp.node.loc_rib_entries``    gauge  per-node routing-table state (``O(nd)``)
 ``bgp.node.adj_rib_in_entries`` gauge  per-node Adj-RIB-In state
 ``bgp.node.price_entries``      gauge  per-node price-array state
@@ -34,7 +34,8 @@ route build is accounted by
 destinations whose ties forced the exact reference kernel).
 
 Span names (``obs.span``) cover the end-to-end pipeline:
-``bgp.stage``, ``bgp.sync.run``, ``bgp.async.run``, ``bgp.timed.run``,
+``bgp.stage``, ``bgp.sync.run``, ``bgp.timed.run`` (asynchronous runs
+included: they are the timed engine's default configuration),
 ``routing.all_pairs``, ``mechanism.price_table``,
 ``engine.all_pairs``, ``engine.price_table``, ``experiment.run``.
 """
@@ -105,7 +106,6 @@ REPAIR_REANCHORED = "routing.repair.reanchored"
 # -- span names --------------------------------------------------------
 SPAN_STAGE = "bgp.stage"
 SPAN_SYNC_RUN = "bgp.sync.run"
-SPAN_ASYNC_RUN = "bgp.async.run"
 SPAN_TIMED_RUN = "bgp.timed.run"
 SPAN_ALL_PAIRS = "routing.all_pairs"
 SPAN_PRICE_TABLE = "mechanism.price_table"

@@ -102,7 +102,8 @@ class TraceSummary:
     rows_sent: int = 0
     #: ``bgp.rows_suppressed`` counter total (delta-transport savings).
     rows_suppressed: int = 0
-    #: ``bgp.deliveries`` counter total (asynchronous engine).
+    #: ``bgp.deliveries`` counter total (timed engine, asynchronous
+    #: runs included).
     deliveries: int = 0
     #: ``routing.cache.*`` totals (incremental engine): trees served
     #: from cache / computed from scratch / repaired in place.

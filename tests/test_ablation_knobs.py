@@ -11,9 +11,10 @@ default configuration:
 
 import pytest
 
-from repro.bgp.engine import AsynchronousEngine, SynchronousEngine
+from repro.bgp.engine import SynchronousEngine
 from repro.bgp.events import CostChange
 from repro.bgp.policy import LowestCostPolicy
+from repro.bgp.timed import TimedEngine
 from repro.core.price_node import PriceComputingNode, UpdateMode
 from repro.core.protocol import DistributedPriceResult, verify_against_centralized
 from repro.graphs.generators import (
@@ -64,7 +65,7 @@ class TestChildFormulaKnob:
         bad = 0
         for seed in range(seeds):
             graph = waxman_graph(12, seed=seed)
-            engine = AsynchronousEngine(
+            engine = TimedEngine(
                 graph,
                 policy=LowestCostPolicy(),
                 node_factory=_price_factory(
@@ -111,7 +112,7 @@ class TestFifoKnob:
             graph = random_biconnected_graph(
                 9, 0.25, seed=seed, cost_sampler=integer_costs(0, 5)
             )
-            engine = AsynchronousEngine(
+            engine = TimedEngine(
                 graph,
                 policy=LowestCostPolicy(),
                 node_factory=_price_factory(),

@@ -19,7 +19,12 @@ from repro.bgp.events import CostChange, LinkFailure, LinkRecovery
 from repro.bgp.timed import MRAI_PEER, MRAIConfig, TimedEngine
 from repro.core.dynamics import DynamicsRun, TimedScenarioResult
 from repro.core.protocol import DistributedPriceResult
-from repro.exceptions import MechanismError, ProtocolError, SanitizerError
+from repro.exceptions import (
+    ConvergenceError,
+    MechanismError,
+    ProtocolError,
+    SanitizerError,
+)
 from repro.graphs.asgraph import ASGraph
 
 
@@ -53,8 +58,12 @@ class TestDispatchParity:
         assert unified.engine.incremental is False
 
     def test_static_asynchronous_seeded(self, square):
+        # asynchronous=True is the timed substrate's default configuration
         unified = api.run(square, asynchronous=True, seed=11)
-        legacy = api.distributed_mechanism(square, asynchronous=True, seed=11)
+        legacy = api.timed_mechanism(square, seed=11)
+        assert isinstance(unified.engine, TimedEngine)
+        assert unified.engine.delay == UniformDelay(0.1, 1.0)
+        assert unified.report == legacy.report
         assert _price_state(unified) == _price_state(legacy)
 
     def test_dynamic_scenario_matches(self, fig1):
@@ -120,6 +129,22 @@ class TestDispatchValidation:
     def test_dynamic_rejects_asynchronous(self, fig1):
         with pytest.raises(MechanismError, match="static runs only"):
             api.run(fig1, [CostChange(3, 7.0)], asynchronous=True)
+
+    def test_asynchronous_rejects_max_stages(self, fig1):
+        # an event loop has no stages to bound; accepting the bound
+        # would silently ignore it
+        with pytest.raises(MechanismError, match="max_stages"):
+            api.run(fig1, asynchronous=True, max_stages=1)
+
+    def test_asynchronous_rejects_full_protocol(self, fig1):
+        with pytest.raises(MechanismError, match="protocol='full'"):
+            api.run(fig1, asynchronous=True, protocol="full")
+
+    def test_asynchronous_honours_max_events(self, fig1):
+        with pytest.raises(ConvergenceError):
+            api.run(fig1, asynchronous=True, max_events=3)
+        bounded = api.run(fig1, asynchronous=True, max_events=10_000)
+        assert bounded.report == api.run(fig1, asynchronous=True).report
 
     def test_timed_rejects_engine(self, fig1):
         with pytest.raises(MechanismError, match="engine="):

@@ -1,9 +1,12 @@
-"""Tests for repro.bgp.engine (synchronous and asynchronous)."""
+"""Tests for the protocol engines: the staged synchronous engine and
+the asynchronous runs of the timed engine."""
 
 import pytest
 
-from repro.bgp.engine import AsynchronousEngine, SynchronousEngine
+from repro.bgp.delays import UniformDelay
+from repro.bgp.engine import SynchronousEngine
 from repro.bgp.policy import HopCountPolicy
+from repro.bgp.timed import TimedEngine
 from repro.core.convergence import convergence_bound
 from repro.exceptions import ConvergenceError, ProtocolError
 from repro.graphs.generators import integer_costs, random_biconnected_graph
@@ -124,7 +127,7 @@ class TestSynchronousDynamics:
 
 class TestAsynchronous:
     def test_matches_centralized_routes(self, small_random):
-        engine = AsynchronousEngine(small_random, seed=11)
+        engine = TimedEngine(small_random, seed=11)
         engine.initialize()
         report = engine.run()
         assert report.converged
@@ -141,7 +144,7 @@ class TestAsynchronous:
             8, 0.3, seed=seed, cost_sampler=integer_costs(0, 5)
         )
         routes = all_pairs_lcp(graph)
-        engine = AsynchronousEngine(graph, seed=seed * 13 + 1)
+        engine = TimedEngine(graph, seed=seed * 13 + 1)
         engine.initialize()
         engine.run()
         for source in graph.nodes:
@@ -152,13 +155,11 @@ class TestAsynchronous:
                     )
 
     def test_delivery_budget(self, small_random):
-        engine = AsynchronousEngine(small_random, seed=0)
+        engine = TimedEngine(small_random, seed=0)
         engine.initialize()
         with pytest.raises(ConvergenceError):
-            engine.run(max_deliveries=3)
+            engine.run(max_events=3)
 
     def test_invalid_delays_rejected(self, triangle):
         with pytest.raises(ProtocolError):
-            AsynchronousEngine(triangle, min_delay=0.0)
-        with pytest.raises(ProtocolError):
-            AsynchronousEngine(triangle, min_delay=2.0, max_delay=1.0)
+            TimedEngine(triangle, delay=UniformDelay(min_delay=2.0, max_delay=1.0))

@@ -21,7 +21,11 @@ from repro import api
 from repro.bgp.messages import RouteAdvertisement, RouteDelta
 from repro.bgp.table import RouteEntry
 from repro.core.price_node import PriceComputingNode
-from repro.core.protocol import distributed_mechanism, verify_against_centralized
+from repro.core.protocol import (
+    distributed_mechanism,
+    timed_mechanism,
+    verify_against_centralized,
+)
 from repro.devtools import sanitize
 from repro.exceptions import SanitizerError
 from repro.graphs.asgraph import ASGraph
@@ -116,7 +120,7 @@ class TestCleanRunsPass:
 
     def test_distributed_asynchronous(self, square):
         with sanitize.sanitized():
-            result = distributed_mechanism(square, asynchronous=True, seed=3)
+            result = timed_mechanism(square, seed=3)
         assert verify_against_centralized(result).ok
 
     def test_dynamics_with_failure_and_restart(self, fig1):

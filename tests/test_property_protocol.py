@@ -7,7 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.convergence import convergence_bound
 from repro.core.price_node import UpdateMode
-from repro.core.protocol import distributed_mechanism, verify_against_centralized
+from repro.core.protocol import (
+    distributed_mechanism,
+    timed_mechanism,
+    verify_against_centralized,
+)
 from repro.graphs.asgraph import ASGraph
 
 
@@ -41,7 +45,7 @@ def test_convergence_respects_theorem_2(graph):
 @settings(max_examples=12, deadline=None)
 @given(protocol_graphs(max_nodes=7), st.integers(0, 10_000))
 def test_asynchronous_delivery_order_is_immaterial(graph, seed):
-    result = distributed_mechanism(graph, asynchronous=True, seed=seed)
+    result = timed_mechanism(graph, seed=seed)
     assert verify_against_centralized(result).ok
 
 

@@ -8,6 +8,7 @@ from repro.core.convergence import convergence_bound
 from repro.core.price_node import PriceComputingNode, UpdateMode
 from repro.core.protocol import (
     distributed_mechanism,
+    timed_mechanism,
     verify_against_centralized,
 )
 from repro.exceptions import MechanismError
@@ -79,7 +80,7 @@ class TestAgreementSweep:
     @pytest.mark.parametrize("family,maker", FAMILY_CASES[:4])
     def test_async_agreement(self, family, maker):
         graph = maker(1)
-        result = distributed_mechanism(graph, asynchronous=True, seed=5)
+        result = timed_mechanism(graph, seed=5)
         assert verify_against_centralized(result).ok
 
     def test_modes_agree_with_each_other(self, small_random):

@@ -2,11 +2,12 @@
 
 Three contracts, in increasing strength:
 
-* *Degenerate timing is the async engine*: with the default uniform
-  jitter and MRAI off the discrete-event engine must reproduce the
-  :class:`AsynchronousEngine`'s delivery schedule and converged model
-  **bit for bit** for every seed (same RNG draw sequence, same FIFO
-  clamp, same tie-breaking).
+* *The asynchronous run is pinned*: the default configuration (uniform
+  [0.1, 1.0] jitter, MRAI off) must reproduce golden sha256 digests of
+  the delivery schedule and the converged model, and the exact
+  transport counts, **bit for bit** -- with FIFO links and with the
+  reordering ablation's full-table links.  The pins were recorded from
+  the standalone asynchronous engine this configuration replaced.
 * *Correctness is timing-independent*: under any seeded delay
   distribution and MRAI configuration -- including mid-flight link
   failures and recoveries -- the converged routes and prices equal the
@@ -23,11 +24,12 @@ run's report numbers bit-for-bit.
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bgp.delays import ConstantDelay, LogNormalDelay, UniformDelay, parse_delay
-from repro.bgp.engine import AsynchronousEngine
 from repro.bgp.events import CostChange, LinkFailure, LinkRecovery
 from repro.bgp.timed import MRAI_PEER, MRAI_PREFIX, MRAIConfig, TimedEngine
 from repro.core.dynamics import timed_scenario
@@ -35,7 +37,12 @@ from repro.core.price_node import PriceComputingNode, UpdateMode
 from repro.core.protocol import timed_mechanism, verify_against_centralized
 from repro.exceptions import ProtocolError
 from repro.graphs.asgraph import ASGraph
-from repro.graphs.generators import fig1_graph, integer_costs, isp_like_graph
+from repro.graphs.generators import (
+    fig1_graph,
+    integer_costs,
+    isp_like_graph,
+    random_biconnected_graph,
+)
 
 
 # ----------------------------------------------------------------------
@@ -172,54 +179,130 @@ class TestMRAIConfig:
         assert MRAIConfig(1.0, MRAI_PEER, jitter=0.25).describe() == "mrai:peer:1,jitter=0.25"
         assert "prefix" in MRAIConfig(2.0, MRAI_PREFIX).describe()
 
-    def test_non_fifo_links_rejected(self):
-        with pytest.raises(ProtocolError):
-            TimedEngine(fig1_graph(), fifo_links=False)
-
 
 # ----------------------------------------------------------------------
-# Contract 1: degenerate timing == AsynchronousEngine, bit for bit
+# Contract 1: the asynchronous run, pinned bit for bit
 # ----------------------------------------------------------------------
+#: name -> (sha256 of delivery_log, sha256 of the converged routes and
+#: price rows, deliveries, rows_sent, rows_suppressed) for TimedEngine's
+#: default configuration; "reordered-*" runs with fifo_links=False on
+#: the E15 A4 graphs.  Regenerate only for a deliberate schedule change.
+ASYNC_PINS = {
+    "plain-0": (
+        "89a22b91f6ffd1b3617eada5908babeb5732519e8294dae83bc531368ce83fdb",
+        "ea1f08604626f9a53596c497e7321a28f1f0ee3df58cabd1c1b228314a0b1586",
+        624, 624, 3852,
+    ),
+    "plain-1": (
+        "0942a49bf5671066ac2dc7c1790f4fefd4ed19310fe4c9f73b574b478e5a17bd",
+        "03b1be152950b9c86c25a89de88ccb2828d6a955b8ae62760bc15d4961cff682",
+        670, 670, 4316,
+    ),
+    "plain-2": (
+        "92de7e632507a7134b4112cf51d05a46227db389d474ace6f1449dd26a55683a",
+        "d72d3c2678f5ec8d7aabb59cc4b49d88ed9f3951f5a3c6aa7c5fba697a92767f",
+        597, 597, 3610,
+    ),
+    "plain-3": (
+        "49d1de9fa9bcffb12b0227f34aecfed856e2154634232026fbf017dc867b8b07",
+        "7f818253fb4e5d9bf5bd4edd295e5a726bd3d7a8904f64e93ca60c019787bafb",
+        587, 587, 3495,
+    ),
+    "plain-4": (
+        "6e8736130f7ff29f1a31d4d40066462adf442de6b1c449301acfbc16f6a7d363",
+        "2c49ecdcc3aeef24fe3926a25b95aaa5f22325ab9ec59b2f130ba28e8eacb244",
+        605, 605, 3655,
+    ),
+    "price-monotone": (
+        "d3b596d17d20788b860446ec6679ea6b132386bc3a77ed60c205f5c7c5f1321c",
+        "5fb3c87ac875dc72d62b8f0d3614296a97d797865f46c8e838f79bf3dea0e0f5",
+        498, 498, 2796,
+    ),
+    "price-recompute": (
+        "d3b596d17d20788b860446ec6679ea6b132386bc3a77ed60c205f5c7c5f1321c",
+        "5fb3c87ac875dc72d62b8f0d3614296a97d797865f46c8e838f79bf3dea0e0f5",
+        498, 498, 2796,
+    ),
+    "reordered-0": (
+        "ddf9fcf847be96efdb4b83951a6c4ecee40896a8985b042c0545a6d84d92215d",
+        "f93df88fa397eaae0a9bd71ce8df70ec288106709332c3ea8c2ec9a5f3916904",
+        809, 5905, 0,
+    ),
+    "reordered-1": (
+        "cd500eb26bcae2c130356dc140dccc77eb822b92221da10d60b081b1edeacd67",
+        "ccb04a4c027f2457970a9b407860b721954f0b3731f9468d06c5e560f75e548a",
+        809, 6223, 0,
+    ),
+    "reordered-2": (
+        "cfc00cabc7fbff1477c431a5da2ba4ff6de5639c884c54e4e6521c0117735764",
+        "c32ecf1dacb7b43e1af35f15f6ab6a2b4ddcd687b764baf365e68e1962055f8e",
+        953, 7406, 0,
+    ),
+    "reordered-3": (
+        "f1f1f33a18fda8e85509dbe66fd87443a47b1625a0ec377edaadc0e1b0465b34",
+        "7408d8490f101e8204b857cf3770bd0c484b5d695f426ced548d8ec03d0461db",
+        828, 6015, 0,
+    ),
+    "reordered-4": (
+        "f6e312a99f499633a8d64a35e779489c6f46aec5ac50e7549e526b25e77f1c04",
+        "37b41097e0fadedf7e2c77392b284d9b9a3b677d56edc4588515d23ebaa5f17c",
+        1040, 8148, 0,
+    ),
+    "reordered-5": (
+        "2fce650098f67539c4e10bd4a0424d9c0de190733fca29c1c7a8cf2f3a00fb4d",
+        "edbf6ee316874a27c87d2080499adee9618bcff7c947e50efa9642670500408d",
+        963, 7245, 0,
+    ),
+    "reordered-6": (
+        "ffbfe5d45d3b236e94c27de7e803c8b7bfc454538eb048137c43625c0fa3dab5",
+        "3c4a44cb38787545de64fcfd9a72b4803b122b08fb141abaccd1c0747a7c4d6c",
+        737, 5485, 0,
+    ),
+    "reordered-7": (
+        "af924ca7635634cf7de00aad329d8aad3fd4b9ff9363c32744d01854eab549ca",
+        "3682718aee615daa36f78dd6b06462077afe9dd90724453c320fe08a149d7b4c",
+        1056, 8153, 0,
+    ),
+}
+
+
+def _digest(value):
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
 class TestAsyncBitIdentity:
-    def _run_both(self, graph, seed, workload="plain"):
-        timed = _timed_engine(graph, workload, seed=seed, delay=UniformDelay(0.1, 1.0))
-        timed.delivery_log = []
-        timed.initialize()
-        timed_report = timed.run()
-
-        kwargs = {"seed": seed}
-        if FACTORIES[workload] is not None:
-            kwargs["node_factory"] = FACTORIES[workload]
-        async_engine = AsynchronousEngine(graph, **kwargs)
-        async_engine.delivery_log = []
-        async_engine.run()
-        return timed, timed_report, async_engine
+    def _assert_pinned(self, name, graph, seed, workload, fifo_links=True):
+        engine = _timed_engine(graph, workload, seed=seed, fifo_links=fifo_links)
+        engine.delivery_log = []
+        engine.initialize()
+        report = engine.run()
+        observed = (
+            _digest(engine.delivery_log),
+            _digest(sorted(_engine_state(engine).items())),
+            report.deliveries,
+            report.rows_sent,
+            report.rows_suppressed,
+        )
+        assert observed == ASYNC_PINS[name]
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_schedule_and_model_identical(self, seed):
         graph = isp_like_graph(12, seed=seed, cost_sampler=integer_costs(1, 6))
-        timed, report, async_engine = self._run_both(graph, seed)
-        # the *schedule* -- every delivery's timestamp, link, and size
-        assert timed.delivery_log == async_engine.delivery_log
-        assert report.deliveries == async_engine.deliveries
-        assert report.rows_sent == async_engine.rows_sent
-        assert report.rows_suppressed == async_engine.rows_suppressed
-        # ... and the converged model
-        assert _engine_state(timed) == _engine_state(async_engine)
+        self._assert_pinned(f"plain-{seed}", graph, seed, "plain")
 
     @pytest.mark.parametrize("workload", ["price-monotone", "price-recompute"])
     def test_price_workloads_identical(self, workload):
         graph = isp_like_graph(10, seed=3, cost_sampler=integer_costs(1, 6))
-        timed, _report, async_engine = self._run_both(graph, 3, workload)
-        assert timed.delivery_log == async_engine.delivery_log
-        assert _engine_state(timed) == _engine_state(async_engine)
+        self._assert_pinned(workload, graph, 3, workload)
 
-    @settings(max_examples=10, deadline=None)
-    @given(protocol_graphs(), st.integers(0, 2**16))
-    def test_bit_identity_on_random_graphs(self, graph, seed):
-        timed, _report, async_engine = self._run_both(graph, seed)
-        assert timed.delivery_log == async_engine.delivery_log
-        assert _engine_state(timed) == _engine_state(async_engine)
+    @pytest.mark.parametrize("seed", range(8))
+    def test_reordered_links_identical(self, seed):
+        graph = random_biconnected_graph(
+            9, 0.25, seed=seed, cost_sampler=integer_costs(0, 5)
+        )
+        self._assert_pinned(
+            f"reordered-{seed}", graph, seed, "price-monotone", fifo_links=False
+        )
 
     def test_zero_delay_collapses_virtual_time(self):
         graph = fig1_graph()
@@ -232,6 +315,49 @@ class TestAsyncBitIdentity:
         assert verify_against_centralized(
             timed_mechanism(graph, seed=0, delay=ConstantDelay(0.0))
         ).ok
+
+
+class TestReorderedLinks:
+    """fifo_links=False: the reordering ablation's full-table transport."""
+
+    def test_every_transmission_is_a_whole_table(self):
+        graph = isp_like_graph(10, seed=3, cost_sampler=integer_costs(1, 6))
+        engine = _timed_engine(graph, seed=3, fifo_links=False)
+        sent = []
+        transmit = engine._transmit
+
+        def spy(link, body, rows):
+            assert body == engine.nodes[link[0]].published_table()
+            assert rows == len(body)
+            sent.append(rows)
+            transmit(link, body, rows)
+
+        engine._transmit = spy
+        engine.delivery_log = []
+        engine.initialize()
+        report = engine.run()
+        assert report.rows_suppressed == 0
+        logged = sum(rows for _when, _sender, _receiver, rows in engine.delivery_log)
+        assert report.rows_offered == report.rows_sent == sum(sent) == logged
+        assert len(sent) == report.deliveries
+
+    def test_in_order_delivery_converges_exactly(self):
+        # a constant delay cannot reorder, so full tables must converge
+        # to the centralized model like deltas do
+        graph = isp_like_graph(10, seed=3, cost_sampler=integer_costs(1, 6))
+        engine = _timed_engine(
+            graph, "price-monotone", seed=3, delay=ConstantDelay(0.25), fifo_links=False
+        )
+        engine.initialize()
+        report = engine.run()
+        fifo = timed_mechanism(graph, seed=3, delay=ConstantDelay(0.25))
+        assert report.rows_sent > fifo.report.rows_sent
+        assert _engine_state(engine) == _engine_state(fifo.engine)
+        verify_against_centralized(fifo).raise_on_mismatch()
+
+    def test_mrai_rejected(self):
+        with pytest.raises(ProtocolError, match="FIFO"):
+            TimedEngine(fig1_graph(), fifo_links=False, mrai=MRAIConfig(1.0))
 
 
 # ----------------------------------------------------------------------
