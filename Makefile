@@ -96,8 +96,9 @@ bench-flat:
 	$(PYTHON) benchmarks/bench_flat_sweep.py --out BENCH_flat.json
 
 # sharded flat-sweep gate: on the isp-like-2000 preset the 4-worker
-# array-native sweep must beat the single-process dict-materializing
-# flat path by >= 2x with bit-identical prices across worker counts;
+# array-native sweep must beat the single-process flat_price_rows dict
+# helper (sweep plus to_rows) by >= 2x with bit-identical prices
+# across worker counts;
 # merges the speedup-vs-workers rows into BENCH_flat.json without
 # discarding the committed full-preset records
 bench-flat-parallel:

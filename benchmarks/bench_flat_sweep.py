@@ -25,8 +25,8 @@ exit) if any regresses:
 
 4. **Sharded speed** (phase ``parallel``).  On the isp-like-2000
    preset, the array-native sharded sweep with 4 workers must beat the
-   single-process dict-materializing ``flat`` path by at least
-   ``PARALLEL_SPEEDUP_FLOOR`` (2x), with speedup-vs-workers rows
+   single-process :func:`flat_price_rows` dict helper (sweep plus
+   ``to_rows``) by at least ``PARALLEL_SPEEDUP_FLOOR`` (2x), with speedup-vs-workers rows
    recorded for workers 1/2/4 and bit-identical prices across worker
    counts.  This is the ``make bench-flat-parallel`` CI gate.
 
@@ -93,7 +93,7 @@ if TYPE_CHECKING:  # annotations only; numpy/scipy load at call time
 SPEEDUP_FLOOR = 5.0
 
 #: The acceptance bar: 4-worker array-native sharded sweep vs the
-#: single-process dict-materializing flat path at n = 2000.
+#: single-process flat_price_rows dict helper at n = 2000.
 PARALLEL_SPEEDUP_FLOOR = 2.0
 
 IDENTITY_REFERENCE_N = 128
@@ -453,9 +453,10 @@ def run_memory_phase() -> Dict[str, Any]:
 def run_parallel_phase(quick: bool = False) -> Dict[str, Any]:
     """Speedup-vs-workers for the sharded array-native sweep.
 
-    The baseline is what the ``flat`` engine delivers -- the
-    dict-materializing :func:`flat_price_rows` -- and the contenders
-    are the array-native sweep ``FlatEngine(workers=...)`` runs,
+    The baseline is the single-process dict helper
+    :func:`flat_price_rows` (the sweep plus ``to_rows``, which the
+    ``flat`` engine no longer pays), and the contenders are the
+    array-native sweep ``FlatEngine(workers=...)`` runs,
     :func:`flat_price_arrays` with 1/2/4 workers, with no per-entry
     Python assembly.  Canonical
     routes are precomputed and shared so route selection is out of the

@@ -293,9 +293,10 @@ def check_price_table(
     *,
     spot_check_lcp: bool = True,
 ) -> None:
-    """Validate a full centralized price table against Theorem 1."""
+    """Validate a full centralized price table against Theorem 1,
+    pair by pair in ``(source, destination)`` order."""
     routes = table.routes
-    for source, destination in sorted(table.rows):
+    for source, destination in table.pairs():
         path = routes.path(source, destination)
         if spot_check_lcp:
             check_lcp(graph, source, destination, path, routes.cost(source, destination))
@@ -304,7 +305,7 @@ def check_price_table(
             source,
             destination,
             path,
-            table.rows[(source, destination)],
+            table.row(source, destination),
             lcp_cost=routes.cost(source, destination),
         )
 

@@ -8,12 +8,31 @@ transit node ``k`` for a packet from ``i`` to ``j`` is
 when ``k`` is a transit node on the selected LCP, and ``0`` otherwise
 (Eq. 1 of the paper).  :func:`compute_price_table` evaluates this for
 every ordered pair, batching the k-avoiding Dijkstras per destination.
+
+Every engine returns the same array-native :class:`PriceTable`: the
+sparse, pair-major columns the flat sweep produces
+(:class:`repro.routing.flatsweep.FlatPriceArrays`), with accessors that
+read one pair's slice and a read-only :class:`PriceRows` mapping view.
+No engine builds a dict-of-dicts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, ItemsView, Iterator, Mapping, Optional, Tuple
+from functools import cached_property
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    ItemsView,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
+
+import numpy as np
 
 import repro.obs as obs_mod
 from repro.devtools import sanitize as sanitize_checks
@@ -22,39 +41,143 @@ from repro.graphs.asgraph import ASGraph
 from repro.obs import names as metric_names
 from repro.routing.allpairs import AllPairsRoutes, all_pairs_lcp
 from repro.routing.avoiding import avoiding_costs_for_destination, avoiding_tree
-from repro.types import Cost, NodeId, is_zero_cost
+from repro.routing.dijkstra import RouteTree
+from repro.types import Cost, NodeId, PathTuple, is_zero_cost
 
 if TYPE_CHECKING:  # pragma: no cover - import-light at runtime
     from repro.routing.engines import EngineSpec
+    from repro.routing.flatsweep import FlatPriceArrays
 
 PriceRow = Dict[NodeId, Cost]
 PairKey = Tuple[NodeId, NodeId]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PriceTable:
     """All per-packet VCG prices for one routing instance.
 
-    ``rows[(i, j)]`` maps each *transit node on the selected LCP from i
-    to j* to its price ``p^k_ij``.  Prices for nodes off the LCP are
-    zero by Theorem 1 and are not stored.
+    Theorem 1 pays only the transit nodes of each selected LCP, so the
+    table is sparse and stored pair-major, in read-only columns:
+
+    * :attr:`node_ids` -- node ids, ascending; a node's position is the
+      *dense index* the other columns hold;
+    * :attr:`pair_src` / :attr:`pair_dst` -- the dense endpoints of
+      every pair whose selected path has a transit node (direct links
+      are not stored), in ascending ``(destination, source)`` order;
+    * :attr:`pair_offset` -- pair ``p`` owns the entries
+      ``pair_offset[p] : pair_offset[p + 1]`` of
+    * :attr:`entry_k` / :attr:`prices` -- each transit node ``k``
+      (dense) and its price ``p^k_ij``, in path order from the source.
+
+    A lookup maps the two endpoints to dense indices, binary-searches
+    the pair's ``destination * n + source`` code and reads one slice.
+    :attr:`rows` is the read-only ``(source, destination) -> {k:
+    price}`` view; it and :meth:`row` build a fresh dict per pair asked
+    for and never the whole table.  Prices for nodes off the LCP are
+    zero and not stored.
     """
 
     routes: AllPairsRoutes
-    rows: Dict[PairKey, PriceRow] = field(repr=False)
+    node_ids: np.ndarray = field(repr=False)
+    pair_src: np.ndarray = field(repr=False)
+    pair_dst: np.ndarray = field(repr=False)
+    pair_offset: np.ndarray = field(repr=False)
+    entry_k: np.ndarray = field(repr=False)
+    prices: np.ndarray = field(repr=False)
+
+    def __post_init__(self) -> None:
+        for column in (
+            self.node_ids,
+            self.pair_src,
+            self.pair_dst,
+            self.pair_offset,
+            self.entry_k,
+            self.prices,
+        ):
+            column.setflags(write=False)
+
+    @classmethod
+    def from_arrays(
+        cls, routes: AllPairsRoutes, arrays: "FlatPriceArrays"
+    ) -> "PriceTable":
+        """The flat sweep's output, its columns passed through as-is."""
+        return cls(
+            routes=routes,
+            node_ids=arrays.node_ids,
+            pair_src=arrays.pair_src,
+            pair_dst=arrays.pair_dst,
+            pair_offset=arrays.pair_offset,
+            entry_k=arrays.entry_k,
+            prices=arrays.prices,
+        )
+
+    @classmethod
+    def from_destinations(
+        cls,
+        routes: AllPairsRoutes,
+        node_ids: np.ndarray,
+        parts: Sequence["DestinationPrices"],
+    ) -> "PriceTable":
+        """Concatenate per-destination slices, given in ascending
+        destination order, into one table."""
+        widths = _concat([part.pair_width for part in parts], np.int64)
+        pair_offset = np.zeros(widths.shape[0] + 1, dtype=np.int64)
+        np.cumsum(widths, out=pair_offset[1:])
+        pair_dst = np.repeat(
+            np.array([part.destination for part in parts], dtype=np.int64),
+            [part.pair_src.shape[0] for part in parts],
+        )
+        return cls(
+            routes=routes,
+            node_ids=node_ids,
+            pair_src=_concat([part.pair_src for part in parts], np.int64),
+            pair_dst=pair_dst,
+            pair_offset=pair_offset,
+            entry_k=_concat([part.entry_k for part in parts], np.int64),
+            prices=_concat([part.prices for part in parts], np.float64),
+        )
+
+    @property
+    def num_pairs(self) -> int:
+        return int(self.pair_src.shape[0])
+
+    @property
+    def rows(self) -> "PriceRows":
+        """Read-only ``(source, destination) -> {k: price}`` view."""
+        return PriceRows(self)
 
     def price(self, k: NodeId, source: NodeId, destination: NodeId) -> Cost:
         """``p^k_{source,destination}`` (zero when off the LCP)."""
-        return self.rows.get((source, destination), {}).get(k, 0.0)
+        bounds = self._slice(source, destination)
+        dense_k = self._index.get(k)
+        if bounds is None or dense_k is None:
+            return 0.0
+        start, stop = bounds
+        transit = self.entry_k[start:stop].tolist()
+        if dense_k not in transit:
+            return 0.0
+        return float(self.prices[start + transit.index(dense_k)])
 
     def row(self, source: NodeId, destination: NodeId) -> PriceRow:
-        """All non-zero prices for one pair, keyed by transit node."""
-        return dict(self.rows.get((source, destination), {}))
+        """All stored prices for one pair, keyed by transit node in path
+        order (a fresh dict; empty for a direct link)."""
+        bounds = self._slice(source, destination)
+        if bounds is None:
+            return {}
+        return self._row_at(*bounds)
 
     def pairs(self) -> Tuple[PairKey, ...]:
-        return tuple(sorted(self.rows))
+        """Every priced pair, sorted by ``(source, destination)``."""
+        order = np.lexsort((self.pair_dst, self.pair_src))
+        return tuple(
+            zip(
+                self.node_ids[self.pair_src[order]].tolist(),
+                self.node_ids[self.pair_dst[order]].tolist(),
+            )
+        )
 
     def items(self) -> ItemsView[PairKey, PriceRow]:
+        """``(pair, row)`` in ``(destination, source)`` order."""
         return self.rows.items()
 
     def __iter__(self) -> Iterator[PairKey]:
@@ -63,15 +186,214 @@ class PriceTable:
     def total_price(self, source: NodeId, destination: NodeId) -> Cost:
         """Sum of per-packet prices paid for one packet on this pair --
         what the *endpoints' side* of the economy pays per packet."""
-        return float(sum(self.rows.get((source, destination), {}).values()))
+        bounds = self._slice(source, destination)
+        if bounds is None:
+            return 0.0
+        start, stop = bounds
+        # Python's left-to-right sum, as over the row's values.
+        return float(sum(self.prices[start:stop].tolist()))
 
     def node_prices(self, k: NodeId) -> Dict[PairKey, Cost]:
-        """Every pair for which node *k* earns a non-zero price."""
-        result: Dict[PairKey, Cost] = {}
-        for pair, row in self.rows.items():
-            if k in row:
-                result[pair] = row[k]
-        return result
+        """Every pair on whose selected path node *k* is transit, with
+        its price, in the table's pair order."""
+        dense_k = self._index.get(k)
+        if dense_k is None:
+            return {}
+        entries = np.flatnonzero(self.entry_k == dense_k)
+        owners = np.searchsorted(self.pair_offset, entries, side="right") - 1
+        pairs = zip(
+            self.node_ids[self.pair_src[owners]].tolist(),
+            self.node_ids[self.pair_dst[owners]].tolist(),
+        )
+        return dict(zip(pairs, self.prices[entries].tolist()))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PriceTable):
+            return NotImplemented
+        return self.routes == other.routes and self.rows == other.rows
+
+    # ------------------------------------------------------------------
+    # Lookup internals
+    # ------------------------------------------------------------------
+    @cached_property
+    def _index(self) -> Dict[NodeId, int]:
+        return {node: position for position, node in enumerate(self.node_ids.tolist())}
+
+    @cached_property
+    def _pair_codes(self) -> np.ndarray:
+        n = int(self.node_ids.shape[0])
+        return self.pair_dst.astype(np.int64) * n + self.pair_src
+
+    def _slice(
+        self, source: NodeId, destination: NodeId
+    ) -> Optional[Tuple[int, int]]:
+        """Entry bounds of one pair, or ``None`` when it is not stored."""
+        index = self._index
+        dense_source = index.get(source)
+        dense_destination = index.get(destination)
+        if dense_source is None or dense_destination is None:
+            return None
+        code = dense_destination * int(self.node_ids.shape[0]) + dense_source
+        codes = self._pair_codes
+        position = int(codes.searchsorted(code))
+        if position == codes.shape[0] or codes[position] != code:
+            return None
+        return int(self.pair_offset[position]), int(self.pair_offset[position + 1])
+
+    def _row_at(self, start: int, stop: int) -> PriceRow:
+        transit = self.node_ids[self.entry_k[start:stop]].tolist()
+        return dict(zip(transit, self.prices[start:stop].tolist()))
+
+    def _pair_keys(self) -> Iterator[PairKey]:
+        return zip(
+            self.node_ids[self.pair_src].tolist(),
+            self.node_ids[self.pair_dst].tolist(),
+        )
+
+    def _iter_rows(self) -> Iterator[Tuple[PairKey, PriceRow]]:
+        """Every ``(pair, row)`` from one bulk conversion per column."""
+        transit = self.node_ids[self.entry_k].tolist()
+        prices = self.prices.tolist()
+        offsets = self.pair_offset.tolist()
+        for position, pair in enumerate(self._pair_keys()):
+            start, stop = offsets[position], offsets[position + 1]
+            yield pair, dict(zip(transit[start:stop], prices[start:stop]))
+
+
+class PriceRows(Mapping[PairKey, PriceRow]):
+    """Read-only ``(source, destination) -> {k: price}`` view of a
+    :class:`PriceTable`, iterated in the table's ``(destination,
+    source)`` order.
+
+    ``rows[pair]`` binary-searches one pair and builds only its row, as
+    a fresh dict; ``in`` builds nothing; iterating the items converts
+    each column once.  There is no item assignment, so the
+    table cannot be changed through it.
+    """
+
+    __slots__ = ("_table",)
+
+    def __init__(self, table: PriceTable) -> None:
+        self._table = table
+
+    def _locate(self, pair: object) -> Optional[Tuple[int, int]]:
+        if not isinstance(pair, tuple) or len(pair) != 2:
+            return None
+        return self._table._slice(pair[0], pair[1])
+
+    def __getitem__(self, pair: PairKey) -> PriceRow:
+        bounds = self._locate(pair)
+        if bounds is None:
+            raise KeyError(pair)
+        return self._table._row_at(*bounds)
+
+    def __contains__(self, pair: object) -> bool:
+        return self._locate(pair) is not None
+
+    def __len__(self) -> int:
+        return self._table.num_pairs
+
+    def __iter__(self) -> Iterator[PairKey]:
+        return self._table._pair_keys()
+
+    def items(self) -> ItemsView[PairKey, PriceRow]:
+        return _RowItems(self)
+
+    def __repr__(self) -> str:
+        return f"<PriceRows: {len(self)} pairs>"
+
+
+class _RowItems(ItemsView):  # type: ignore[type-arg]
+    """Items iterated from one bulk conversion per column."""
+
+    def __iter__(self) -> Iterator[Tuple[PairKey, PriceRow]]:
+        return self._mapping._table._iter_rows()
+
+
+@dataclass(frozen=True)
+class DestinationPrices:
+    """One destination's slice of the table columns, in dense indices:
+    its priced sources ascending, each source's transit count, and the
+    transit nodes and prices in path order."""
+
+    destination: int
+    pair_src: np.ndarray
+    pair_width: np.ndarray
+    entry_k: np.ndarray
+    prices: np.ndarray
+
+
+def _concat(parts: List[np.ndarray], dtype: type) -> np.ndarray:
+    if not parts:
+        return np.empty(0, dtype=dtype)
+    return np.concatenate(parts).astype(dtype, copy=False)
+
+
+def transit_paths(
+    tree: RouteTree,
+) -> Tuple[List[Tuple[NodeId, PathTuple]], Tuple[NodeId, ...]]:
+    """Every source's selected path in *tree*, sources ascending, and
+    the sorted set of nodes transit on any of them.
+
+    One materialization of the per-destination structure: the paths are
+    walked once for the transit set and reused for the row sweep
+    (``transit_nodes()`` would re-sort and re-walk).
+    """
+    source_paths = [(source, tree.path(source)) for source in tree.sources()]
+    transit_set = set()
+    for _source, path in source_paths:
+        transit_set.update(path[1:-1])
+    return source_paths, tuple(sorted(transit_set))
+
+
+def price_destination(
+    graph: ASGraph,
+    tree: RouteTree,
+    source_paths: Sequence[Tuple[NodeId, PathTuple]],
+    detours: Mapping[NodeId, RouteTree],
+    index: Mapping[NodeId, int],
+) -> DestinationPrices:
+    """The Theorem 1 sweep for the destination of *tree*.
+
+    *detours* maps each transit node ``k`` to its ``G - k`` tree toward
+    the same destination, and *index* maps node ids to dense indices.
+    The first undefined or negative price, in source order then path
+    order, raises.
+    """
+    destination = tree.destination
+    pair_src: List[int] = []
+    pair_width: List[int] = []
+    entry_k: List[int] = []
+    prices: List[Cost] = []
+    for source, path in source_paths:
+        if len(path) == 2:
+            continue  # direct link: no transit nodes, no prices
+        for k in path[1:-1]:
+            detour = detours[k]
+            if not detour.has_route(source):
+                raise NotBiconnectedError(
+                    message=(
+                        f"price p^{k}_{{{source},{destination}}} undefined: "
+                        f"no {k}-avoiding path (graph not biconnected)"
+                    )
+                )
+            price = graph.cost(k) + detour.cost(source) - tree.cost(source)
+            if price < -1e-9:
+                raise MechanismError(
+                    f"negative VCG price {price} for k={k}, pair "
+                    f"({source}, {destination}); avoiding cost below LCP cost"
+                )
+            entry_k.append(index[k])
+            prices.append(price)
+        pair_src.append(index[source])
+        pair_width.append(len(path) - 2)
+    return DestinationPrices(
+        destination=index[destination],
+        pair_src=np.array(pair_src, dtype=np.int64),
+        pair_width=np.array(pair_width, dtype=np.int64),
+        entry_k=np.array(entry_k, dtype=np.int64),
+        prices=np.array(prices, dtype=np.float64),
+    )
 
 
 def vcg_price(
@@ -127,43 +449,45 @@ def compute_price_table(
     serial reference loop below; every engine returns the same table
     per the differential test harness.
 
-    *sanitize* overrides the global sanitizer toggle for this call:
-    ``True`` forces :func:`repro.devtools.sanitize.check_price_table`
-    on the result, ``False`` skips it, ``None`` (default) follows the
-    global toggle.
+    *sanitize* overrides the global sanitizer toggle for the whole
+    call: ``True`` runs it with the sanitizer on (the routes and
+    :func:`repro.devtools.sanitize.check_price_table` on the result),
+    ``False`` with it off, ``None`` (default) follows the global toggle.
 
     *obs* names an explicit :class:`repro.obs.Obs` observer; ``None``
     reports to the global default observer iff observability is
     enabled.  Observed runs execute under a ``mechanism.price_table``
     span and count ``mechanism.price_rows`` throughput.
     """
-    check = sanitize_checks.enabled() if sanitize is None else bool(sanitize)
+    if sanitize is None:
+        return _compute_price_table(graph, routes, engine, obs)
+    with sanitize_checks.sanitized(bool(sanitize)):
+        return _compute_price_table(graph, routes, engine, obs)
+
+
+def _compute_price_table(
+    graph: ASGraph,
+    routes: Optional[AllPairsRoutes],
+    engine: Optional["EngineSpec"],
+    obs: Optional[obs_mod.Obs],
+) -> PriceTable:
     observer = obs_mod.active(obs)
     if engine is not None and engine != "reference":
         from repro.routing.engines import resolve_engine
 
+        # Engines check their own tables under the sanitizer toggle.
         resolved = resolve_engine(engine)
         if observer is None:
-            table = resolved.price_table(graph, routes=routes, obs=obs)
-        else:
-            with observer.span(
-                metric_names.SPAN_PRICE_TABLE, engine=resolved.name
-            ):
-                table = resolved.price_table(graph, routes=routes, obs=obs)
-        # Engines self-check under the global toggle; honor a forced
-        # sanitize=True without double-checking the common case.
-        if check and not sanitize_checks.enabled():
-            sanitize_checks.check_price_table(graph, table)
-        return table
+            return resolved.price_table(graph, routes=routes, obs=obs)
+        with observer.span(metric_names.SPAN_PRICE_TABLE, engine=resolved.name):
+            return resolved.price_table(graph, routes=routes, obs=obs)
     if observer is None:
         table = _price_table_reference(graph, routes, obs=obs)
     else:
         with observer.span(metric_names.SPAN_PRICE_TABLE, engine="reference"):
             table = _price_table_reference(graph, routes, obs=obs)
-        observer.count(
-            metric_names.PRICE_ROWS, len(table.rows), engine="reference"
-        )
-    if check:
+        observer.count(metric_names.PRICE_ROWS, table.num_pairs, engine="reference")
+    if sanitize_checks.enabled():
         sanitize_checks.check_price_table(graph, table)
     return table
 
@@ -176,40 +500,15 @@ def _price_table_reference(
     """The serial semantics-defining Theorem 1 sweep."""
     if routes is None:
         routes = all_pairs_lcp(graph, obs=obs)
-    rows: Dict[PairKey, PriceRow] = {}
+    index = graph.index_of()
+    parts: List[DestinationPrices] = []
     for destination in graph.nodes:
         tree = routes.tree(destination)
-        # One materialization of the per-destination structure: sources
-        # and their paths are walked once for the transit set and reused
-        # for the row sweep (transit_nodes() would re-sort and re-walk).
-        source_paths = [(source, tree.path(source)) for source in tree.sources()]
-        transit_set = set()
-        for _source, path in source_paths:
-            transit_set.update(path[1:-1])
-        transit = tuple(sorted(transit_set))
+        source_paths, transit = transit_paths(tree)
         detours = avoiding_costs_for_destination(graph, destination, transit)
-        for source, path in source_paths:
-            if len(path) == 2:
-                continue  # direct link: no transit nodes, no prices
-            row: PriceRow = {}
-            for k in path[1:-1]:
-                detour = detours[k]
-                if not detour.has_route(source):
-                    raise NotBiconnectedError(
-                        message=(
-                            f"price p^{k}_{{{source},{destination}}} undefined: "
-                            f"no {k}-avoiding path (graph not biconnected)"
-                        )
-                    )
-                price = graph.cost(k) + detour.cost(source) - tree.cost(source)
-                if price < -1e-9:
-                    raise MechanismError(
-                        f"negative VCG price {price} for k={k}, pair "
-                        f"({source}, {destination}); avoiding cost below LCP cost"
-                    )
-                row[k] = price
-            rows[(source, destination)] = row
-    return PriceTable(routes=routes, rows=rows)
+        parts.append(price_destination(graph, tree, source_paths, detours, index))
+    node_ids = np.array(graph.nodes, dtype=np.int64)
+    return PriceTable.from_destinations(routes, node_ids, parts)
 
 
 def payments(
@@ -232,6 +531,6 @@ def payments(
                 f"negative traffic intensity {intensity} for pair "
                 f"({source}, {destination})"
             )
-        for k, price in table.rows.get((source, destination), {}).items():
+        for k, price in table.row(source, destination).items():
             totals[k] += intensity * price
     return totals

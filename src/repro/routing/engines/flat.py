@@ -29,12 +29,14 @@ thousand:
    solver endpoints.  Only one ``k``'s distance block is ever alive, so
    peak extra memory is O(max_k |sources_k| * n).
 
-3. **Array-native evaluation and assembly.**  Per ``k``, the demanded
+3. **Array-native evaluation and output.**  Per ``k``, the demanded
    entries are contiguous slices of pre-gathered arrays and
    ``p^k_ij = c_k + Cost(P_{-k}) - Cost(P)`` is evaluated in bulk; the
    priced result lives in flat arrays
-   (:class:`repro.routing.flatsweep.FlatPriceArrays`) with no
-   per-entry Python dict work on the hot path.  Violations are raised
+   (:class:`repro.routing.flatsweep.FlatPriceArrays`) whose columns
+   become the returned :class:`~repro.mechanism.vcg.PriceTable` as
+   they are -- the table's own layout -- so no per-pair or per-entry
+   Python object is built for the table at all.  Violations are raised
    as the same :class:`~repro.exceptions.MechanismError` /
    :class:`~repro.exceptions.NotBiconnectedError` the reference engine
    raises, with the *same deterministic witness*: candidates are
@@ -106,14 +108,15 @@ def flat_price_rows(
     *,
     stats: Optional[FlatSweepStats] = None,
 ) -> Dict[Tuple[NodeId, NodeId], "PriceRow"]:
-    """Theorem 1 price rows via the batched, demand-restricted sweep.
+    """Theorem 1 price rows via the batched sweep, as a plain dict.
 
-    Returns the same ``(source, destination) -> {k: price}`` mapping as
-    :func:`repro.mechanism.vcg.compute_price_table` stores (direct-link
-    pairs omitted); *stats*, when given, is filled with the sweep's
-    work accounting.  This is the dict-materializing convenience over
-    :func:`repro.routing.flatsweep.flat_price_arrays`; large-instance
-    callers should stay on the arrays and skip :meth:`to_rows`.
+    Returns ``(source, destination) -> {k: price}`` with the same
+    contents as ``dict(compute_price_table(graph, engine="flat").rows)``
+    (direct-link pairs omitted); *stats*, when given, is filled with the
+    sweep's work accounting.  A dict helper for tests and benchmarks:
+    it is :func:`repro.routing.flatsweep.flat_price_arrays` plus
+    :meth:`~repro.routing.flatsweep.FlatPriceArrays.to_rows`, which no
+    engine calls.
     """
     return flat_price_arrays(graph, routes, stats=stats).to_rows()
 
@@ -172,7 +175,7 @@ class FlatEngine(Engine):
         stats = FlatSweepStats()
         with observer.span(metric_names.SPAN_ENGINE_PRICE_TABLE, engine=self.name):
             table = self._build_table(graph, routes, stats, obs=observer)
-        observer.count(metric_names.PRICE_ROWS, len(table.rows), engine=self.name)
+        observer.count(metric_names.PRICE_ROWS, table.num_pairs, engine=self.name)
         observer.count(metric_names.FLAT_SOLVES, stats.solves, engine=self.name)
         observer.count(metric_names.FLAT_ROWS, stats.rows, engine=self.name)
         observer.count(metric_names.FLAT_MASKED, stats.masked, engine=self.name)
@@ -198,7 +201,7 @@ class FlatEngine(Engine):
         arrays = flat_price_arrays(
             graph, routes, workers=self.workers, shards=shards, stats=stats
         )
-        table = PriceTable(routes=routes, rows=arrays.to_rows())
+        table = PriceTable.from_arrays(routes, arrays)
         if sanitize.enabled():
             sanitize.check_price_table(graph, table)
         return table

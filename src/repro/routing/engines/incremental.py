@@ -58,13 +58,11 @@ import heapq
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, ClassVar, Dict, List, Optional, Set, Tuple
 
+import numpy as np
+
 import repro.obs as obs_mod
 from repro.devtools import sanitize as sanitize_checks
-from repro.exceptions import (
-    DisconnectedGraphError,
-    MechanismError,
-    NotBiconnectedError,
-)
+from repro.exceptions import DisconnectedGraphError
 from repro.graphs.asgraph import ASGraph
 from repro.obs import names as metric_names
 from repro.routing.dijkstra import RouteTree, route_tree
@@ -73,7 +71,7 @@ from repro.routing.tiebreak import RouteKey, route_key
 from repro.types import Cost, Edge, NodeId
 
 if TYPE_CHECKING:  # pragma: no cover - import-light at runtime
-    from repro.mechanism.vcg import PriceRow, PriceTable
+    from repro.mechanism.vcg import DestinationPrices, PriceTable
     from repro.routing.allpairs import AllPairsRoutes
 
 PairKey = Tuple[NodeId, NodeId]
@@ -429,7 +427,8 @@ class IncrementalEngine(Engine):
         self._edges: Set[Edge] = set()
         self._trees: Dict[NodeId, RouteTree] = {}
         self._avoiding: Dict[NodeId, Dict[NodeId, RouteTree]] = {}
-        self._rows: Dict[NodeId, Dict[PairKey, "PriceRow"]] = {}
+        # one destination's price rows, as its slice of the table columns
+        self._rows: Dict[NodeId, "DestinationPrices"] = {}
         self._row_transit: Dict[NodeId, Tuple[NodeId, ...]] = {}
 
     # ------------------------------------------------------------------
@@ -481,7 +480,7 @@ class IncrementalEngine(Engine):
         before = self.stats.snapshot()
         with observer.span(metric_names.SPAN_ENGINE_PRICE_TABLE, engine=self.name):
             table = self._price_table(graph, routes=routes)
-        observer.count(metric_names.PRICE_ROWS, len(table.rows), engine=self.name)
+        observer.count(metric_names.PRICE_ROWS, table.num_pairs, engine=self.name)
         self._emit_cache_counters(observer, before)
         return table
 
@@ -523,18 +522,20 @@ class IncrementalEngine(Engine):
         self._sync(graph)
         if routes is None:
             routes = AllPairsRoutes(graph=graph, trees=dict(self._trees))
-        rows: Dict[PairKey, "PriceRow"] = {}
+        index = graph.index_of()
+        parts: List["DestinationPrices"] = []
         for destination in graph.nodes:
             cached = self._rows.get(destination)
             if cached is not None:
                 self.stats.hits += len(self._row_transit.get(destination, ()))
-                rows.update(cached)
+                parts.append(cached)
                 continue
-            dest_rows, transit = self._build_rows(graph, destination)
-            self._rows[destination] = dest_rows
+            part, transit = self._build_rows(graph, destination, index)
+            self._rows[destination] = part
             self._row_transit[destination] = transit
-            rows.update(dest_rows)
-        table = PriceTable(routes=routes, rows=rows)
+            parts.append(part)
+        node_ids = np.array(graph.nodes, dtype=np.int64)
+        table = PriceTable.from_destinations(routes, node_ids, parts)
         if sanitize_checks.enabled():
             sanitize_checks.check_price_table(graph, table)
         return table
@@ -733,18 +734,14 @@ class IncrementalEngine(Engine):
     # Price rows
     # ------------------------------------------------------------------
     def _build_rows(
-        self, graph: ASGraph, destination: NodeId
-    ) -> Tuple[Dict[PairKey, "PriceRow"], Tuple[NodeId, ...]]:
+        self, graph: ASGraph, destination: NodeId, index: Dict[NodeId, int]
+    ) -> Tuple["DestinationPrices", Tuple[NodeId, ...]]:
         """The reference Theorem 1 sweep for one destination, with the
         avoiding trees served from (and committed to) the cache."""
+        from repro.mechanism.vcg import price_destination, transit_paths
+
         tree = self._trees[destination]
-        source_paths = [
-            (source, tree.path(source)) for source in tree.sources()
-        ]
-        transit_set = set()
-        for _source, path in source_paths:
-            transit_set.update(path[1:-1])
-        transit = tuple(sorted(transit_set))
+        source_paths, transit = transit_paths(tree)
         cache = self._avoiding.setdefault(destination, {})
         detours: Dict[NodeId, RouteTree] = {}
         for k in transit:
@@ -757,26 +754,5 @@ class IncrementalEngine(Engine):
             else:
                 self.stats.hits += 1
             detours[k] = cached
-        rows: Dict[PairKey, "PriceRow"] = {}
-        for source, path in source_paths:
-            if len(path) == 2:
-                continue  # direct link: no transit nodes, no prices
-            row: "PriceRow" = {}
-            for k in path[1:-1]:
-                detour = detours[k]
-                if not detour.has_route(source):
-                    raise NotBiconnectedError(
-                        message=(
-                            f"price p^{k}_{{{source},{destination}}} undefined: "
-                            f"no {k}-avoiding path (graph not biconnected)"
-                        )
-                    )
-                price = graph.cost(k) + detour.cost(source) - tree.cost(source)
-                if price < -1e-9:
-                    raise MechanismError(
-                        f"negative VCG price {price} for k={k}, pair "
-                        f"({source}, {destination}); avoiding cost below LCP cost"
-                    )
-                row[k] = price
-            rows[(source, destination)] = row
-        return rows, transit
+        part = price_destination(graph, tree, source_paths, detours, index)
+        return part, transit

@@ -22,9 +22,12 @@ take the Theorem 1 price sweep past n = 10,000:
    are gathered into that order once -- each transit node's work is
    then a pair of contiguous array slices, with no per-group fancy
    indexing on the hot path.  Prices land in a flat array
-   (:class:`FlatPriceArrays`); nothing per-entry touches a Python dict
-   until a caller explicitly asks for the legacy mapping via
-   :meth:`FlatPriceArrays.to_rows`.
+   (:class:`FlatPriceArrays`) whose columns are, as they are, the
+   :class:`~repro.mechanism.vcg.PriceTable` every engine returns;
+   nothing per-entry touches a Python dict.  The dict-of-dicts
+   :meth:`FlatPriceArrays.to_rows` is no engine's path: it backs
+   :func:`repro.routing.engines.flat.flat_price_rows`, a dict helper
+   for tests and benchmarks.
 
 3. **Sharded execution over shared memory.**  The per-transit-node
    groups are independent, so :func:`sweep_demand` can run them on a
@@ -181,12 +184,12 @@ class FlatDemand:
 class FlatPriceArrays:
     """A priced table as flat arrays -- the sweep's native output.
 
-    Pair ``p`` is ``(node_ids[pair_src[p]], node_ids[pair_dst[p]])``;
-    its transit nodes and prices are the slice
-    ``pair_offset[p] : pair_offset[p + 1]`` of :attr:`entry_k` /
-    :attr:`prices` (path order).  No per-entry Python objects exist
-    until :meth:`to_rows` is asked for the legacy dict-of-dicts
-    mapping.
+    Pair ``p`` is ``(node_ids[pair_src[p]], node_ids[pair_dst[p]])``,
+    pairs ascending by ``(destination, source)``; its transit nodes and
+    prices are the slice ``pair_offset[p] : pair_offset[p + 1]`` of
+    :attr:`entry_k` / :attr:`prices` (path order).  This is the layout
+    of :class:`~repro.mechanism.vcg.PriceTable`, which the ``flat``
+    engine builds from these columns without copying them.
     """
 
     node_ids: np.ndarray = field(repr=False)
@@ -211,9 +214,10 @@ class FlatPriceArrays:
         """Materialize the ``(source, destination) -> {k: price}`` dicts.
 
         One bulk ``tolist`` per column and one ``dict(zip(...))`` per
-        pair -- the only remaining per-pair Python work, kept off the
-        sweep itself and paid solely by callers that need the legacy
-        mapping (the ``PriceTable`` surface, the differential tests).
+        pair.  No engine calls this: the ``PriceTable`` reads these
+        arrays directly.  It backs
+        :func:`repro.routing.engines.flat.flat_price_rows`, the dict
+        helper of the tests and benchmarks.
         """
         src_ids = self.node_ids[self.pair_src].tolist()
         dst_ids = self.node_ids[self.pair_dst].tolist()
@@ -917,7 +921,8 @@ def flat_price_arrays(
     ``min(shards, groups)`` round-robin shards (*shards* defaults to
     *workers*).  The result prices exactly the pairs
     :func:`repro.routing.engines.flat.flat_price_rows` would, without
-    materializing any per-entry Python structure.
+    materializing any per-entry Python structure, in the layout of
+    :class:`~repro.mechanism.vcg.PriceTable`.
     """
     if routes is None:
         demand = canonical_demand(graph)

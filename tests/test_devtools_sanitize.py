@@ -10,6 +10,7 @@ record that misses a row -- trips exactly its check.  The toggle mechanics (env 
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -298,11 +299,20 @@ class TestPriceTableCheck:
     def test_corrupted_entry_caught(self, fig1, labels):
         table = compute_price_table(fig1)
         X, Z = labels["X"], labels["Z"]
-        row = table.rows[(X, Z)]
-        k = next(iter(sorted(row)))
-        row[k] += 1.0
+        k = min(table.row(X, Z))
+        # The table is read-only: seed +1.0 on p^k_XZ into a copy of its
+        # price column and check a table built over that copy.
+        ids = table.node_ids.tolist()
+        pair = [
+            (ids[s], ids[d]) for s, d in zip(table.pair_src, table.pair_dst)
+        ].index((X, Z))
+        start, stop = table.pair_offset[pair], table.pair_offset[pair + 1]
+        transit = [ids[e] for e in table.entry_k[start:stop]]
+        prices = table.prices.copy()
+        prices[start + transit.index(k)] += 1.0
+        corrupted = dataclasses.replace(table, prices=prices)
         with pytest.raises(SanitizerError, match=r"\[sanitize:price-identity\]"):
-            sanitize.check_price_table(fig1, table)
+            sanitize.check_price_table(fig1, corrupted)
 
 
 class TestMonotoneCheck:

@@ -82,6 +82,30 @@ class TestPriceTable:
         table = compute_price_table(triangle)
         assert list(table.pairs()) == sorted(table.pairs())
 
+    def test_rows_reject_item_assignment(self, fig1, labels):
+        table = compute_price_table(fig1)
+        X, Z = labels["X"], labels["Z"]
+        with pytest.raises(TypeError):
+            table.rows[(X, Z)] = {}
+        with pytest.raises(TypeError):
+            del table.rows[(X, Z)]
+        with pytest.raises(ValueError):
+            table.prices[0] = 0.0
+        assert table.row(X, Z) == {labels["B"]: 4.0, labels["D"]: 3.0}
+
+    def test_mutating_a_returned_row_leaves_table_unchanged(self, fig1, labels):
+        table = compute_price_table(fig1)
+        X, Z, D = labels["X"], labels["Z"], labels["D"]
+        before = dict(table.rows)
+        table.rows[(X, Z)][D] += 1.0
+        table.row(X, Z).clear()
+        for _pair, row in table.items():
+            row.clear()
+        for row in table.rows.values():
+            row[D] = -1.0
+        assert table.rows == before
+        assert table.price(D, X, Z) == 3.0
+
 
 def table_row_empty(table, source, destination):
     return table.row(source, destination) == {}
