@@ -33,15 +33,17 @@ sanitize-test:
 
 # cross-engine differential harness: every registered engine must
 # agree with the reference (golden fixtures, worker/shard invariance,
-# zero-cost exactness, the canonical forest builder's exact routes),
-# with the runtime sanitizer enabled
+# zero-cost exactness, the canonical forest builder's exact routes,
+# the incremental engine's repaired trees and prices after every
+# epoch), with the runtime sanitizer enabled
 test-engines:
 	REPRO_SANITIZE=1 $(PYTHON) -m pytest -x -q \
 		tests/test_engine_differential.py \
 		tests/test_golden_engines.py \
 		tests/test_flat_parallel.py \
 		tests/test_engine_registry.py \
-		tests/test_canonical_forest.py
+		tests/test_canonical_forest.py \
+		tests/test_incremental_engine.py
 
 # timed-substrate differential suite: the asynchronous run's golden
 # schedule/model pins (FIFO and reordered links), centralized parity

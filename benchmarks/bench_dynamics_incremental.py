@@ -215,7 +215,7 @@ def _identical(ref_routes, ref_table, inc_routes, inc_table) -> bool:
         inc_tree = inc_routes.tree(destination)
         if inc_tree.parents != ref_tree.parents:
             return False
-        if inc_tree._costs != ref_tree._costs:
+        if inc_tree.costs != ref_tree.costs:
             return False
     return inc_table.rows == ref_table.rows
 

@@ -54,11 +54,7 @@ def lcp_hop_diameter(graph: ASGraph) -> int:
     """
     from repro.routing.allpairs import all_pairs_lcp
 
-    routes = all_pairs_lcp(graph)
-    return max(
-        (len(path) - 1 for path in routes.paths.values()),
-        default=0,
-    )
+    return all_pairs_lcp(graph).max_hops()
 
 
 def avoiding_hop_diameter(graph: ASGraph) -> int:

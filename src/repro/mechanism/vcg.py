@@ -42,7 +42,7 @@ from repro.obs import names as metric_names
 from repro.routing.allpairs import AllPairsRoutes, all_pairs_lcp
 from repro.routing.avoiding import avoiding_costs_for_destination, avoiding_tree
 from repro.routing.dijkstra import RouteTree
-from repro.types import Cost, NodeId, PathTuple, is_zero_cost
+from repro.types import Cost, NodeId, is_zero_cost
 
 if TYPE_CHECKING:  # pragma: no cover - import-light at runtime
     from repro.routing.engines import EngineSpec
@@ -329,46 +329,32 @@ def _concat(parts: List[np.ndarray], dtype: type) -> np.ndarray:
     return np.concatenate(parts).astype(dtype, copy=False)
 
 
-def transit_paths(
-    tree: RouteTree,
-) -> Tuple[List[Tuple[NodeId, PathTuple]], Tuple[NodeId, ...]]:
-    """Every source's selected path in *tree*, sources ascending, and
-    the sorted set of nodes transit on any of them.
-
-    One materialization of the per-destination structure: the paths are
-    walked once for the transit set and reused for the row sweep
-    (``transit_nodes()`` would re-sort and re-walk).
-    """
-    source_paths = [(source, tree.path(source)) for source in tree.sources()]
-    transit_set = set()
-    for _source, path in source_paths:
-        transit_set.update(path[1:-1])
-    return source_paths, tuple(sorted(transit_set))
-
-
 def price_destination(
     graph: ASGraph,
     tree: RouteTree,
-    source_paths: Sequence[Tuple[NodeId, PathTuple]],
     detours: Mapping[NodeId, RouteTree],
     index: Mapping[NodeId, int],
 ) -> DestinationPrices:
     """The Theorem 1 sweep for the destination of *tree*.
 
-    *detours* maps each transit node ``k`` to its ``G - k`` tree toward
-    the same destination, and *index* maps node ids to dense indices.
-    The first undefined or negative price, in source order then path
-    order, raises.
+    *detours* maps each transit node ``k`` (``tree.transit_nodes()``)
+    to its ``G - k`` tree toward the same destination, and *index* maps
+    node ids to dense indices.  Each source's transit nodes are read by
+    walking its parents, so no path is spelled.  The first undefined or
+    negative price, in source order then path order, raises.
     """
     destination = tree.destination
+    parents, lcp_costs = tree.parents, tree.costs
     pair_src: List[int] = []
     pair_width: List[int] = []
     entry_k: List[int] = []
     prices: List[Cost] = []
-    for source, path in source_paths:
-        if len(path) == 2:
+    for source in tree.sources():
+        k = parents[source]
+        if k == destination:
             continue  # direct link: no transit nodes, no prices
-        for k in path[1:-1]:
+        width = 0
+        while k != destination:
             detour = detours[k]
             if not detour.has_route(source):
                 raise NotBiconnectedError(
@@ -377,7 +363,7 @@ def price_destination(
                         f"no {k}-avoiding path (graph not biconnected)"
                     )
                 )
-            price = graph.cost(k) + detour.cost(source) - tree.cost(source)
+            price = graph.cost(k) + detour.cost(source) - lcp_costs[source]
             if price < -1e-9:
                 raise MechanismError(
                     f"negative VCG price {price} for k={k}, pair "
@@ -385,8 +371,10 @@ def price_destination(
                 )
             entry_k.append(index[k])
             prices.append(price)
+            width += 1
+            k = parents[k]
         pair_src.append(index[source])
-        pair_width.append(len(path) - 2)
+        pair_width.append(width)
     return DestinationPrices(
         destination=index[destination],
         pair_src=np.array(pair_src, dtype=np.int64),
@@ -504,9 +492,8 @@ def _price_table_reference(
     parts: List[DestinationPrices] = []
     for destination in graph.nodes:
         tree = routes.tree(destination)
-        source_paths, transit = transit_paths(tree)
-        detours = avoiding_costs_for_destination(graph, destination, transit)
-        parts.append(price_destination(graph, tree, source_paths, detours, index))
+        detours = avoiding_costs_for_destination(graph, destination, tree.transit_nodes())
+        parts.append(price_destination(graph, tree, detours, index))
     node_ids = np.array(graph.nodes, dtype=np.int64)
     return PriceTable.from_destinations(routes, node_ids, parts)
 

@@ -15,7 +15,8 @@ Key modules:
   (cost, then hops, then lexicographic path) that makes selected LCPs
   suffix-consistent, hence loop-free.
 * :mod:`repro.routing.dijkstra` -- destination-rooted generalized
-  Dijkstra producing a :class:`~repro.routing.dijkstra.RouteTree`.
+  Dijkstra producing a :class:`~repro.routing.dijkstra.RouteTree`
+  (parents and cost labels; a path is a walk up the parents).
 * :mod:`repro.routing.allpairs` -- all-pairs routes (n trees).
 * :mod:`repro.routing.forest` -- the same n trees, bit-identical, built
   in batches from scipy distances (the ``flat`` engine's routes).

@@ -56,11 +56,7 @@ class AllPairsRoutes:
     def transit_nodes(self, destination: NodeId) -> Tuple[NodeId, ...]:
         """All nodes appearing as transit on some selected path toward
         *destination* -- the ``k`` values whose prices matter there."""
-        tree = self.trees[destination]
-        transit = set()
-        for source in tree.sources():
-            transit.update(tree.path(source)[1:-1])
-        return tuple(sorted(transit))
+        return self.trees[destination].transit_nodes()
 
     def max_hops(self) -> int:
         """The quantity ``d`` of Theorem 2 for this instance."""
@@ -70,7 +66,13 @@ class AllPairsRoutes:
         )
 
     def __iter__(self) -> Iterator[Tuple[NodeId, NodeId]]:
-        return iter(sorted(self.paths))
+        return iter(
+            sorted(
+                (source, destination)
+                for destination, tree in self.trees.items()
+                for source in tree.parents
+            )
+        )
 
 
 def all_pairs_lcp(

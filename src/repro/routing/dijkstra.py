@@ -4,7 +4,8 @@ For a destination ``j``, :func:`route_tree` computes, for every other
 node ``i``, the minimum-key path from ``i`` to ``j`` (key = canonical
 ``(cost, hops, path)`` order).  Because the key order is suffix
 consistent, the selected paths form the loop-free tree ``T(j)`` the
-paper's Section 6 relies on; the tree is returned explicitly.
+paper's Section 6 relies on; the tree is returned explicitly, as one
+parent and one cost label per source (:class:`RouteTree`).
 """
 
 from __future__ import annotations
@@ -22,6 +23,10 @@ from repro.types import Cost, NodeId, PathTuple
 class RouteTree:
     """The selected lowest-cost paths toward one destination.
 
+    The tree ``T(j)`` is held as it is defined: one parent and one cost
+    label per source, nothing else.  A path, a hop count or a transit
+    test is a walk up the parents.
+
     Attributes
     ----------
     destination:
@@ -30,43 +35,59 @@ class RouteTree:
         ``i -> next hop of i toward j`` for every reachable ``i != j``.
         (In the paper's tree vocabulary the next hop is ``i``'s *parent*
         in ``T(j)``.)
-    _paths / _costs:
-        Full selected path and transit cost per source.
+    costs:
+        ``i -> transit cost of i's selected path``, same keys as
+        *parents*.
     """
 
     destination: NodeId
     parents: Dict[NodeId, NodeId]
-    _paths: Dict[NodeId, PathTuple] = field(repr=False)
-    _costs: Dict[NodeId, Cost] = field(repr=False)
+    costs: Dict[NodeId, Cost] = field(repr=False)
 
     def sources(self) -> Tuple[NodeId, ...]:
         """Nodes with a selected route to the destination (excl. root)."""
-        return tuple(sorted(self._paths))
+        return tuple(sorted(self.parents))
 
     def has_route(self, source: NodeId) -> bool:
-        return source in self._paths or source == self.destination
+        return source in self.parents or source == self.destination
 
     def path(self, source: NodeId) -> PathTuple:
         """Selected path from *source* to the destination (inclusive)."""
         if source == self.destination:
             return (source,)
-        try:
-            return self._paths[source]
-        except KeyError:
-            raise UnreachableError(source, self.destination) from None
+        parents = self.parents
+        if source not in parents:
+            raise UnreachableError(source, self.destination)
+        path = [source]
+        node = parents[source]
+        while node != self.destination:
+            path.append(node)
+            node = parents[node]
+        path.append(node)
+        return tuple(path)
 
     def cost(self, source: NodeId) -> Cost:
         """Transit cost of the selected path from *source*."""
         if source == self.destination:
             return 0.0
         try:
-            return self._costs[source]
+            return self.costs[source]
         except KeyError:
             raise UnreachableError(source, self.destination) from None
 
     def hops(self, source: NodeId) -> int:
         """Number of AS hops (edges) on the selected path."""
-        return len(self.path(source)) - 1
+        if source == self.destination:
+            return 0
+        parents = self.parents
+        if source not in parents:
+            raise UnreachableError(source, self.destination)
+        hops = 1
+        node = parents[source]
+        while node != self.destination:
+            hops += 1
+            node = parents[node]
+        return hops
 
     def parent(self, source: NodeId) -> NodeId:
         """``source``'s parent (next hop) in ``T(j)``."""
@@ -84,10 +105,24 @@ class RouteTree:
     def on_path(self, k: NodeId, source: NodeId) -> bool:
         """The indicator ``I_k(c; source, destination)``: whether ``k``
         is a *transit* node on the selected path from *source*."""
-        if not self.has_route(source) or source == self.destination:
+        if source not in self.parents:
             return False
-        path = self.path(source)
-        return k in path[1:-1]
+        node = self.parents[source]
+        while node != self.destination:
+            if node == k:
+                return True
+            node = self.parents[node]
+        return False
+
+    def transit_nodes(self) -> Tuple[NodeId, ...]:
+        """Nodes transit on some selected path, ascending.
+
+        A node is transit on some source's path iff it is some source's
+        next hop and not the root, so no path is spelled.
+        """
+        transit = set(self.parents.values())
+        transit.discard(self.destination)
+        return tuple(sorted(transit))
 
     def __iter__(self) -> Iterator[NodeId]:
         return iter(self.sources())
@@ -112,8 +147,8 @@ def route_tree(graph: GraphLike, destination: NodeId) -> RouteTree:
     as the heap order, so nodes finalize in exactly the order the
     path-keyed search finalized them.  A node is never relaxed back
     into its own path, because every node on that path finalized first
-    with a smaller label.  Paths are spelled out once, from the parents,
-    after the search.
+    with a smaller label.  The tree keeps the parents and cost labels in
+    finalization order; no path is spelled.
 
     *graph* may be a real :class:`ASGraph` or a copy-free
     :class:`~repro.graphs.asgraph.MaskedGraphView` (the k-avoiding
@@ -147,23 +182,12 @@ def route_tree(graph: GraphLike, destination: NodeId) -> RouteTree:
                 push(heap, (candidate[0], candidate[1], neighbor))
 
     parents: Dict[NodeId, NodeId] = {}
-    paths: Dict[NodeId, PathTuple] = {}
     costs: Dict[NodeId, Cost] = {}
-    root: PathTuple = (destination,)
     for node in order[1:]:
         cost, _hops, parent = best[node]
         parents[node] = parent
-        # Only the destination is missing from ``paths``.  (No deleted
-        # entry either: callers copy these dicts, and CPython copies a
-        # dict that never had a deletion much faster.)
-        paths[node] = (node,) + paths.get(parent, root)
         costs[node] = cost
-    return RouteTree(
-        destination=destination,
-        parents=parents,
-        _paths=paths,
-        _costs=costs,
-    )
+    return RouteTree(destination=destination, parents=parents, costs=costs)
 
 
 def lowest_cost(graph: ASGraph, source: NodeId, destination: NodeId) -> Tuple[Cost, PathTuple]:

@@ -13,23 +13,23 @@ re-running Dijkstra:
 
 * **Improving events** (cost decrease at ``x``, link addition
   ``(u, v)``) seed a priority queue with the boundary vertices whose
-  tentative key improves -- the neighbors of ``x`` with their
+  tentative label improves -- the neighbors of ``x`` with their
   through-``x`` candidates, or both orientations of the new link -- and
   run a Dijkstra wave that settles *only* nodes whose label strictly
-  improves under the canonical ``(cost, hops, path)`` order.  Because
-  that order is a total order on simple paths (path tuples break every
-  tie), the minimum-key label per node is unique and the wave's output
-  is bit-identical to a cold re-run; no tolerance is involved.  The
-  wave also reconnects sources that previously had no label at all
-  (their incumbent is ``+inf``), which is how incomplete avoiding trees
-  heal on link recovery.
+  improves.  Labels are the ``(cost, hops, parent)`` triples
+  :func:`~repro.routing.dijkstra.route_tree` ranks by, so the wave's
+  output is bit-identical to a cold re-run; no tolerance is involved.
+  Each incumbent label, hops included, is read from the tree as it was
+  before the wave.  The wave also reconnects sources that previously
+  had no label at all, which is how incomplete avoiding trees heal on
+  link recovery.
 * **Worsening events** (cost increase at ``x``, link removal) detach
   exactly the orphaned cone -- the parent-forest subtree under ``x``
   (resp. under the downstream endpoint of a removed tree edge) -- drop
-  its labels, and re-anchor it: seed each detached node with its best
-  candidate through the intact boundary, then wave within the detached
-  set.  Labels outside the cone were optimal before and only competing
-  candidates worsened, so they are provably final.
+  its labels, seed each detached node from its intact neighbors and
+  run the same wave.  Labels outside the cone were optimal before and
+  only competing candidates worsened, so no candidate through the cone
+  beats one of them and the wave stays inside the cone.
 
 Every epoch diff decomposes into elementary events applied
 *sequentially* (sorted removals, then sorted cost changes, then sorted
@@ -56,7 +56,17 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, ClassVar, Dict, List, Optional, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    AbstractSet,
+    ClassVar,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Set,
+    Tuple,
+)
 
 import numpy as np
 
@@ -67,7 +77,6 @@ from repro.graphs.asgraph import ASGraph
 from repro.obs import names as metric_names
 from repro.routing.dijkstra import RouteTree, route_tree
 from repro.routing.engines.base import Engine
-from repro.routing.tiebreak import RouteKey, route_key
 from repro.types import Cost, Edge, NodeId
 
 if TYPE_CHECKING:  # pragma: no cover - import-light at runtime
@@ -75,6 +84,9 @@ if TYPE_CHECKING:  # pragma: no cover - import-light at runtime
     from repro.routing.allpairs import AllPairsRoutes
 
 PairKey = Tuple[NodeId, NodeId]
+
+#: ``(cost, hops, parent)``: a route's canonical rank, as route_tree keeps it
+Label = Tuple[Cost, int, NodeId]
 
 #: adjacency snapshot the repair waves walk; values iterated sorted
 Adjacency = Dict[NodeId, Set[NodeId]]
@@ -96,8 +108,9 @@ class CacheStats:
     engine's ``n + sum_j |transit(j)|`` per epoch.
 
     The repair counters meter the in-place work: ``relaxed`` labels
-    settled by improve waves, ``detached`` labels dropped from orphaned
-    cones, ``reanchored`` labels re-established by re-anchor waves.
+    settled by improving events' waves, ``detached`` labels dropped
+    from orphaned cones, ``reanchored`` labels the wave re-established
+    inside those cones.
     ``relaxed + reanchored`` over the average tree size is the
     "Dijkstra-equivalent" cost of the repair path.
     """
@@ -122,80 +135,101 @@ class CacheStats:
         )
 
 
-def _incumbent_key(tree: RouteTree, node: NodeId) -> Optional[RouteKey]:
-    """*node*'s current label as a route key (``None`` if unlabeled)."""
-    cost = tree._costs.get(node)
-    if cost is None:
-        return None
-    return route_key(cost, tree._paths[node])
-
-
-def _improve_wave(
+def _wave(
     tree: RouteTree,
-    seeds: List[Tuple[NodeId, RouteKey]],
+    seeds: Iterable[Tuple[NodeId, NodeId]],
     adjacency: Adjacency,
     costs: Dict[NodeId, Cost],
     masked: Optional[NodeId],
+    dropped: AbstractSet[NodeId] = frozenset(),
 ) -> Tuple[Optional[RouteTree], int]:
-    """Settle every label an improving event makes strictly better.
+    """Settle every label that strictly improves, and nothing else.
 
-    *seeds* are ``(node, candidate key)`` boundary pairs; the wave
-    relaxes outward from each seed whose candidate beats the node's
-    incumbent label under the full canonical order, so exactly the
+    Labels are the ``(cost, hops, parent)`` triples
+    :func:`~repro.routing.dijkstra.route_tree` ranks by.  *seeds* are
+    ``(node, via)`` pairs: *node*'s candidate through its neighbor
+    *via*, whose label is intact.  Every incumbent label, hops included,
+    is read from *tree* as it was before the wave, with the *dropped*
+    cone unlabeled: a node whose hops fell at equal cost beats its old
+    label, settles, and passes the shorter route on.  The wave relaxes
+    outward from each seed that beats its incumbent, so exactly the
     improved cone is re-settled and every final label equals the cold
-    recomputation bit for bit (the order is total: no ties exist to
-    resolve differently).  Returns ``(repaired tree, labels settled)``,
-    or ``(None, 0)`` when no seed improves anything.
+    recomputation bit for bit.  No candidate closes a loop: every node
+    on a settled node's path holds a smaller label already.  Returns
+    ``(repaired tree, labels settled)``, or ``(None, 0)`` when nothing
+    changes.
     """
-    best: Dict[NodeId, RouteKey] = {}
-    heap: List[Tuple[RouteKey, NodeId]] = []
-    for node, key in seeds:
-        incumbent = _incumbent_key(tree, node)
-        if incumbent is not None and not key < incumbent:
-            continue
+    destination = tree.destination
+    old_parents, old_costs = tree.parents, tree.costs
+    depth: Dict[NodeId, int] = {destination: 0}
+
+    def hops_of(node: NodeId) -> int:
+        """*node*'s hop count before the wave, memoized along the walk."""
+        walk = []
+        while node not in depth:
+            walk.append(node)
+            node = old_parents[node]
+        hops = depth[node]
+        for step in reversed(walk):
+            hops += 1
+            depth[step] = hops
+        return hops
+
+    best: Dict[NodeId, Label] = {}
+    heap: List[Tuple[Cost, int, NodeId]] = []
+    # Never relabeled: the root, and the node G - k lacks.
+    finalized: Set[NodeId] = {destination} if masked is None else {destination, masked}
+
+    def offer(node: NodeId, cost: Cost, via: NodeId, hops: Optional[int] = None) -> None:
+        """Keep *node*'s candidate through *via* if it beats the node's
+        label.  Most candidates lose on cost alone, so hop counts --
+        *hops*, or else *via*'s walked ones plus one -- are read only
+        when the cost does not decide."""
+        if node in finalized:
+            return
         current = best.get(node)
-        if current is None or key < current:
-            best[node] = key
-            heapq.heappush(heap, (key, node))
-    if not heap:
+        if current is None and node not in dropped:
+            incumbent_cost = old_costs.get(node)
+            if incumbent_cost is not None:
+                if cost > incumbent_cost:
+                    return
+                # exact, as every label comparison (routing/tiebreak.py)
+                if cost == incumbent_cost:  # repro-lint: ok(RPR001)
+                    current = (incumbent_cost, hops_of(node), old_parents[node])
+        elif current is not None and cost > current[0]:
+            return
+        label = (cost, hops_of(via) + 1 if hops is None else hops, via)
+        if current is None or label < current:
+            best[node] = label
+            heapq.heappush(heap, (cost, label[1], node))
+
+    for node, via in seeds:
+        if via == destination:
+            offer(node, 0.0, via)
+        elif via in old_costs and via not in dropped:
+            offer(node, old_costs[via] + costs[via], via)
+    if not heap and not dropped:
         return None, 0
-    parents = dict(tree.parents)
-    paths = dict(tree._paths)
-    label_costs = dict(tree._costs)
-    finalized: Set[NodeId] = set()
+    parents = dict(old_parents)
+    label_costs = dict(old_costs)
+    for node in sorted(dropped):
+        del parents[node]
+        del label_costs[node]
     settled = 0
     while heap:
-        key, node = heapq.heappop(heap)
-        if node in finalized or key != best.get(node):
+        # A node's first pop carries its best (cost, hops), and
+        # ``best`` its best parent, as in route_tree.
+        cost, hops, node = heapq.heappop(heap)
+        if node in finalized:
             continue
         finalized.add(node)
         settled += 1
-        cost, _hops, path = key
-        parents[node] = path[1]
-        paths[node] = path
+        parents[node] = best[node][2]
         label_costs[node] = cost
-        hop_cost = costs[node]
+        through = cost + costs[node]
         for neighbor in sorted(adjacency[node]):
-            if neighbor == masked or neighbor in finalized or neighbor in path:
-                continue
-            candidate = route_key(cost + hop_cost, (neighbor,) + path)
-            current = best.get(neighbor)
-            if current is not None:
-                if candidate < current:
-                    best[neighbor] = candidate
-                    heapq.heappush(heap, (candidate, neighbor))
-                continue
-            incumbent = _incumbent_key(tree, neighbor)
-            if incumbent is not None and not candidate < incumbent:
-                continue
-            best[neighbor] = candidate
-            heapq.heappush(heap, (candidate, neighbor))
-    repaired = RouteTree(
-        destination=tree.destination,
-        parents=parents,
-        _paths=paths,
-        _costs=label_costs,
-    )
+            offer(neighbor, through, node, hops + 1)
+    repaired = RouteTree(destination=destination, parents=parents, costs=label_costs)
     return repaired, settled
 
 
@@ -205,82 +239,21 @@ def _detach_and_reanchor(
     adjacency: Adjacency,
     costs: Dict[NodeId, Cost],
     masked: Optional[NodeId],
-) -> Tuple[RouteTree, int]:
+) -> Tuple[Optional[RouteTree], int, int]:
     """Drop the *detach* cone's labels and grow them back exactly.
 
     Labels outside the cone survive a worsening event unchanged (their
     paths stay feasible and every competing candidate only worsened),
-    so each detached node is seeded with its best candidate through the
-    intact boundary and the wave relaxes *within the cone only*.  Nodes
-    the boundary cannot reach stay unlabeled -- exactly the cold
-    engine's treatment of unreachable sources.  Returns the repaired
-    tree and the number of labels re-established.
+    so no candidate through the cone beats one of them: seeding each
+    detached node from its intact neighbors and running the improve
+    wave re-settles the cone and nothing else.  Nodes the boundary
+    cannot reach stay unlabeled -- exactly the cold engine's treatment
+    of unreachable sources.  Returns ``(repaired tree, labels detached,
+    labels re-established)``.
     """
-    destination = tree.destination
-    parents = dict(tree.parents)
-    paths = dict(tree._paths)
-    label_costs = dict(tree._costs)
-    for node in sorted(detach):
-        del parents[node]
-        del paths[node]
-        del label_costs[node]
-    best: Dict[NodeId, RouteKey] = {}
-    heap: List[Tuple[RouteKey, NodeId]] = []
-    for node in sorted(detach):
-        for neighbor in sorted(adjacency[node]):
-            if neighbor == masked or neighbor in detach:
-                continue
-            if neighbor == destination:
-                nb_cost: Cost = 0.0
-                nb_path = (destination,)
-                hop_cost: Cost = 0.0
-            else:
-                maybe_cost = label_costs.get(neighbor)
-                if maybe_cost is None:
-                    continue
-                nb_cost = maybe_cost
-                nb_path = paths[neighbor]
-                hop_cost = costs[neighbor]
-            if node in nb_path:
-                continue
-            candidate = route_key(nb_cost + hop_cost, (node,) + nb_path)
-            current = best.get(node)
-            if current is None or candidate < current:
-                best[node] = candidate
-                heapq.heappush(heap, (candidate, node))
-    finalized: Set[NodeId] = set()
-    settled = 0
-    while heap:
-        key, node = heapq.heappop(heap)
-        if node in finalized or key != best.get(node):
-            continue
-        finalized.add(node)
-        settled += 1
-        cost, _hops, path = key
-        parents[node] = path[1]
-        paths[node] = path
-        label_costs[node] = cost
-        hop_cost = costs[node]
-        for neighbor in sorted(adjacency[node]):
-            if (
-                neighbor == masked
-                or neighbor not in detach
-                or neighbor in finalized
-                or neighbor in path
-            ):
-                continue
-            candidate = route_key(cost + hop_cost, (neighbor,) + path)
-            current = best.get(neighbor)
-            if current is None or candidate < current:
-                best[neighbor] = candidate
-                heapq.heappush(heap, (candidate, neighbor))
-    repaired = RouteTree(
-        destination=destination,
-        parents=parents,
-        _paths=paths,
-        _costs=label_costs,
-    )
-    return repaired, settled
+    seeds = [(node, via) for node in sorted(detach) for via in sorted(adjacency[node])]
+    repaired, settled = _wave(tree, seeds, adjacency, costs, masked, detach)
+    return repaired, len(detach), settled
 
 
 def _subtree(tree: RouteTree, root: NodeId) -> Set[NodeId]:
@@ -321,9 +294,7 @@ def _repair_removal(
         root = v
     else:
         return None, 0, 0
-    detach = _subtree(tree, root)
-    repaired, settled = _detach_and_reanchor(tree, detach, adjacency, costs, masked)
-    return repaired, len(detach), settled
+    return _detach_and_reanchor(tree, _subtree(tree, root), adjacency, costs, masked)
 
 
 def _repair_cost_change(
@@ -352,20 +323,10 @@ def _repair_cost_change(
         detach.discard(x)
         if not detach:
             return None, 0, 0
-        repaired, settled = _detach_and_reanchor(
-            tree, detach, adjacency, costs, masked
-        )
-        return repaired, len(detach), settled
-    x_cost = tree._costs.get(x)
-    if x_cost is None:
-        return None, 0, 0  # x unreachable: no path transits it either
-    x_path = tree._paths[x]
-    seeds: List[Tuple[NodeId, RouteKey]] = []
-    for neighbor in sorted(adjacency[x]):
-        if neighbor == masked or neighbor in x_path:
-            continue
-        seeds.append((neighbor, route_key(x_cost + new_cost, (neighbor,) + x_path)))
-    repaired, settled = _improve_wave(tree, seeds, adjacency, costs, masked)
+        return _detach_and_reanchor(tree, detach, adjacency, costs, masked)
+    # An unreachable x seeds nothing: no path transits it either.
+    seeds = [(neighbor, x) for neighbor in sorted(adjacency[x])]
+    repaired, settled = _wave(tree, seeds, adjacency, costs, masked)
     return repaired, 0, settled
 
 
@@ -385,26 +346,7 @@ def _repair_addition(
     reconnect through the same wave.  Returns ``(repaired tree or
     None, 0, settled)``.
     """
-    destination = tree.destination
-    seeds: List[Tuple[NodeId, RouteKey]] = []
-    for a, b in ((u, v), (v, u)):
-        if a == destination:
-            continue
-        if b == destination:
-            b_cost: Cost = 0.0
-            b_path = (destination,)
-            hop_cost: Cost = 0.0
-        else:
-            maybe_cost = tree._costs.get(b)
-            if maybe_cost is None:
-                continue
-            b_cost = maybe_cost
-            b_path = tree._paths[b]
-            hop_cost = costs[b]
-        if a in b_path:
-            continue
-        seeds.append((a, route_key(b_cost + hop_cost, (a,) + b_path)))
-    repaired, settled = _improve_wave(tree, seeds, adjacency, costs, masked)
+    repaired, settled = _wave(tree, [(u, v), (v, u)], adjacency, costs, masked)
     return repaired, 0, settled
 
 
@@ -648,8 +590,8 @@ class IncrementalEngine(Engine):
         expected = graph.num_nodes - 1
         for j in graph.nodes:
             tree = trees[j]
-            if len(tree._paths) != expected:
-                missing = set(graph.nodes) - set(tree._paths) - {j}
+            if len(tree.parents) != expected:
+                missing = set(graph.nodes) - set(tree.parents) - {j}
                 raise DisconnectedGraphError(
                     f"nodes {sorted(missing)} cannot reach {j}"
                 )
@@ -738,10 +680,10 @@ class IncrementalEngine(Engine):
     ) -> Tuple["DestinationPrices", Tuple[NodeId, ...]]:
         """The reference Theorem 1 sweep for one destination, with the
         avoiding trees served from (and committed to) the cache."""
-        from repro.mechanism.vcg import price_destination, transit_paths
+        from repro.mechanism.vcg import price_destination
 
         tree = self._trees[destination]
-        source_paths, transit = transit_paths(tree)
+        transit = tree.transit_nodes()
         cache = self._avoiding.setdefault(destination, {})
         detours: Dict[NodeId, RouteTree] = {}
         for k in transit:
@@ -754,5 +696,5 @@ class IncrementalEngine(Engine):
             else:
                 self.stats.hits += 1
             detours[k] = cached
-        part = price_destination(graph, tree, source_paths, detours, index)
+        part = price_destination(graph, tree, detours, index)
         return part, transit

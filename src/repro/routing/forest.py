@@ -2,7 +2,7 @@
 
 :func:`repro.routing.dijkstra.route_tree` builds one tie-broken tree
 ``T(j)`` per destination in pure Python.  This module builds the same
-trees -- same parents, same paths, same cost floats, same dict order --
+trees -- same parents, same cost floats, same dict order --
 from ``scipy.sparse.csgraph`` distances, one block of destinations per
 batched solve:
 
@@ -50,7 +50,7 @@ from repro.graphs.asgraph import ASGraph
 from repro.routing.allpairs import AllPairsRoutes
 from repro.routing.dijkstra import RouteTree, route_tree
 from repro.routing.flatgraph import FlatGraph, build_flat_graph
-from repro.types import Cost, NodeId, PathTuple
+from repro.types import NodeId
 
 __all__ = [
     "ForestBlock",
@@ -231,16 +231,16 @@ def densify_tree(
     """Write *tree*'s next hops and cost labels into dense rows.
 
     *parent* / *cost* are one destination's rows over the sorted
-    *node_ids*, pre-filled with ``-1`` / ``0.0``; the tree's private
-    dicts are read directly, one ``fromiter`` per column.
+    *node_ids*, pre-filled with ``-1`` / ``0.0``; the tree's two dicts
+    are read directly, one ``fromiter`` per column.
     """
     count = len(tree.parents)
     children = np.searchsorted(node_ids, np.fromiter(tree.parents.keys(), np.int64, count))
     parent[children] = np.searchsorted(
         node_ids, np.fromiter(tree.parents.values(), np.int64, count)
     )
-    labelled = np.searchsorted(node_ids, np.fromiter(tree._costs.keys(), np.int64, count))
-    cost[labelled] = np.fromiter(tree._costs.values(), np.float64, count)
+    labelled = np.searchsorted(node_ids, np.fromiter(tree.costs.keys(), np.int64, count))
+    cost[labelled] = np.fromiter(tree.costs.values(), np.float64, count)
 
 
 def canonical_routes(
@@ -253,8 +253,8 @@ def canonical_routes(
     :func:`~repro.routing.allpairs.all_pairs_lcp` down to dict order.
 
     Resolved rows are emitted in ``(cost, hops, id)`` order, the order
-    the reference search finalizes nodes in; each path is spelled as
-    ``(v,) + path(parent)``, exactly as the reference kernel spells it.
+    the reference search finalizes nodes in, as the parents and cost
+    labels the reference kernel stores; no path is spelled.
     """
     flat = flat if flat is not None else build_flat_graph(graph)
     # The graph's own id objects, indexed densely: every tree shares
@@ -274,28 +274,11 @@ def canonical_routes(
                 trees[destination] = block.trees[b]
                 continue
             emitted = order[b, 1:]  # position 0 is the root (cost 0.0, hops 0)
-            trees[destination] = _tree_from_row(
-                destination,
-                [ids[i] for i in emitted.tolist()],
-                [ids[i] for i in block.parent[b, emitted].tolist()],
-                block.cost[b, emitted].tolist(),
+            nodes = [ids[i] for i in emitted.tolist()]
+            trees[destination] = RouteTree(
+                destination=destination,
+                parents=dict(zip(nodes, [ids[i] for i in block.parent[b, emitted].tolist()])),
+                costs=dict(zip(nodes, block.cost[b, emitted].tolist())),
             )
     return AllPairsRoutes(graph=graph, trees=trees)
 
-
-def _tree_from_row(
-    destination: NodeId,
-    nodes: List[NodeId],
-    next_hops: List[NodeId],
-    costs: List[Cost],
-) -> RouteTree:
-    paths: Dict[NodeId, PathTuple] = {}
-    root: PathTuple = (destination,)
-    for node, next_hop in zip(nodes, next_hops):
-        paths[node] = (node,) + paths.get(next_hop, root)
-    return RouteTree(
-        destination=destination,
-        parents=dict(zip(nodes, next_hops)),
-        _paths=paths,
-        _costs=dict(zip(nodes, costs)),
-    )

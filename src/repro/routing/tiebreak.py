@@ -21,11 +21,13 @@ compared lexicographically.  Two properties make it appropriate:
   form a tree.
 
 The distributed BGP engine ranks candidates with :func:`route_key`; the
-centralized Dijkstra ranks them by the ``(cost, hops, next hop)``
-labels that suffix consistency reduces this key to (see
-:func:`repro.routing.dijkstra.route_tree`), which order candidates
-identically.  So both always select identical routes (costs are
-accumulated identically too; see :mod:`repro.routing.paths`).
+centralized Dijkstra and the incremental engine's repair waves rank
+them by the ``(cost, hops, next hop)`` labels that suffix consistency
+reduces this key to (see :func:`repro.routing.dijkstra.route_tree`),
+which order candidates identically.  So all of them select identical
+routes (costs are accumulated identically too; see
+:mod:`repro.routing.paths`), and a :class:`~repro.routing.dijkstra.RouteTree`
+keeps only those labels' parents and costs.
 """
 
 from __future__ import annotations

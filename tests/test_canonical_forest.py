@@ -82,8 +82,8 @@ def _tree_state(tree):
     return (
         tree.destination,
         list(tree.parents.items()),
-        list(tree._paths.items()),
-        [(node, repr(cost)) for node, cost in tree._costs.items()],
+        [(node, tree.path(node)) for node in tree.parents],
+        [(node, repr(cost)) for node, cost in tree.costs.items()],
     )
 
 

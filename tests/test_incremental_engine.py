@@ -24,6 +24,7 @@ from repro.graphs.asgraph import ASGraph
 from repro.mechanism.vcg import compute_price_table
 from repro.obs import names as metric_names
 from repro.routing.allpairs import all_pairs_lcp
+from repro.routing.dijkstra import route_tree
 from repro.routing.engines import IncrementalEngine, get_engine
 
 _MECHANISM_ERRORS = (NotBiconnectedError, MechanismError, DisconnectedGraphError)
@@ -60,8 +61,22 @@ def assert_epoch_identical(engine: IncrementalEngine, graph: ASGraph) -> None:
     if warm_table[0] == "ok":
         # dict == compares every price bit-for-bit, which is the contract
         assert warm_table[1].rows == cold_table[1].rows  # repro-lint: ok(RPR001)
+        assert_avoiding_trees_identical(engine, graph)
     else:
         assert warm_table[1] == cold_table[1]
+
+
+def assert_avoiding_trees_identical(engine: IncrementalEngine, graph: ASGraph) -> None:
+    """Every cached ``G - k`` tree equals a cold one, parents and costs.
+
+    Repair waves rewrite these trees on most events, and a wrong parent
+    with a right cost would not show in this epoch's prices.
+    """
+    for destination, cache in engine._avoiding.items():
+        for k, tree in cache.items():
+            cold = route_tree(graph.masked_without_node(k), destination)
+            assert tree.parents == cold.parents, (destination, k)
+            assert tree.costs == cold.costs, (destination, k)
 
 
 @st.composite
@@ -385,6 +400,24 @@ class TestRepairPaths:
         )
         delta = _assert_repaired_epoch(engine, mutated)
         assert delta["detached"] > 0 and delta["relaxed"] > 0
+
+    def test_equal_cost_shorter_route_reaches_descendants_neighbors(self):
+        # All costs zero, so hops decide.  The new link 3-0 shortens 3's
+        # route at equal cost; its child 4 must settle too (its hops
+        # fell), or 4's neighbor 5 never sees that 5-4-3-0 now beats
+        # 5-6-7-8-0.  Incumbent hops must come from the tree as it was
+        # before the wave, not through the wave's new labels.
+        graph = ASGraph(
+            nodes=[(i, 0.0) for i in range(9)],
+            edges=[(3, 1), (1, 2), (2, 0), (4, 3), (5, 4), (5, 6), (6, 7), (7, 8), (8, 0)],
+        )
+        engine = IncrementalEngine()
+        assert_epoch_identical(engine, graph)
+        assert engine.all_pairs(graph).path(5, 0) == (5, 6, 7, 8, 0)
+        shortcut = graph.with_edge(3, 0)
+        delta = _assert_repaired_epoch(engine, shortcut)
+        assert engine.all_pairs(shortcut).path(5, 0) == (5, 4, 3, 0)
+        assert delta["relaxed"] > 0
 
     def test_repair_counters_emitted_under_observer(self, fig1):
         engine = IncrementalEngine()

@@ -74,6 +74,19 @@ def test_lcp_cost_is_minimal_over_tree_alternatives(graph):
                 assert best <= via + 1e-9
 
 
+@settings(max_examples=40, deadline=None)
+@given(biconnected_graphs())
+def test_parent_rule_gives_spelled_transit_sets(graph):
+    # a node is transit on some selected path iff it is some source's
+    # next hop and not the root; transit_nodes relies on exactly that
+    routes = all_pairs_lcp(graph)
+    for destination in graph.nodes:
+        spelled = set()
+        for source in routes.tree(destination).sources():
+            spelled.update(routes.path(source, destination)[1:-1])
+        assert routes.transit_nodes(destination) == tuple(sorted(spelled))
+
+
 @settings(max_examples=30, deadline=None)
 @given(biconnected_graphs())
 def test_avoiding_cost_dominates_lcp_cost(graph):
