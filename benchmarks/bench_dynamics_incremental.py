@@ -24,6 +24,10 @@ scripted event sequence on an ISP-like instance and records, per epoch:
   reference *exactly* (same paths, ``==`` on every cost and price) on
   every epoch, or the record is marked non-identical and the run fails.
 
+The document's ``host`` block (CPU count, Python and numpy versions)
+says which machine the wall times belong to; the counts do not depend
+on it.
+
 Output goes to ``BENCH_dynamics.json`` (``make bench-dynamics`` writes
 it at the repo root).  Run directly::
 
@@ -41,8 +45,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import random
 import time
+from importlib import metadata
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.graphs.asgraph import ASGraph
@@ -220,6 +227,19 @@ def _identical(ref_routes, ref_table, inc_routes, inc_table) -> bool:
     return inc_table.rows == ref_table.rows
 
 
+def _host() -> Dict[str, Any]:
+    """CPU count and the Python and numpy versions of this run."""
+    try:
+        numpy_version: Optional[str] = metadata.version("numpy")
+    except metadata.PackageNotFoundError:
+        numpy_version = None
+    return {
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": numpy_version,
+    }
+
+
 def run_suite(quick: bool = True, seed: int = 0, n: int = DEFAULT_N) -> Dict[str, Any]:
     """Run the scripted comparison; returns the JSON document."""
     graph = _make_graph(n, seed)
@@ -286,6 +306,7 @@ def run_suite(quick: bool = True, seed: int = 0, n: int = DEFAULT_N) -> Dict[str
         "seed": seed,
         "events": len(epochs),
         "generated": time.strftime("%Y-%m-%dT%H:%M:%S"),
+        "host": _host(),
         "epochs": epochs,
         "all_model_identical": warm_identical
         and all(e["model_identical"] for e in epochs),

@@ -246,8 +246,6 @@ CACHE_CONTRACTS: Tuple[CacheContract, ...] = (
         class_name="IncrementalEngine",
         cache_attrs=(
             "_graph",
-            "_costs",
-            "_edges",
             "_trees",
             "_avoiding",
             "_rows",

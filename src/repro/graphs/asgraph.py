@@ -13,23 +13,34 @@ methods that re-validate the model invariants.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.exceptions import GraphError
 from repro.types import Cost, CostVector, Edge, NodeId, validate_cost
+
+#: What a routing kernel reads: every node's ascending neighbor list, the
+#: declared costs and the hidden node (``None`` for a whole graph).  The
+#: containers are the graph's own, shared and read only.
+RoutingInputs = Tuple[
+    Mapping[NodeId, Sequence[NodeId]], Mapping[NodeId, Cost], Optional[NodeId]
+]
 
 
 class MaskedGraphView:
     """A copy-free read view of an :class:`ASGraph` with one node hidden.
 
-    Behaves like the graph ``G - k`` for every read the routing kernels
-    perform (``neighbors`` / ``cost`` / ``nodes`` / containment) without
-    materializing new adjacency or cost dicts -- the k-avoiding price
-    sweep builds n of these per destination, so the copies that
+    Behaves like the graph ``G - k`` for every read of ``neighbors`` /
+    ``cost`` / ``nodes`` / containment without materializing new
+    adjacency or cost dicts -- the k-avoiding price sweep builds n of
+    these per destination, so the copies that
     :meth:`ASGraph.without_node` allocates dominate its running time.
-    The view is a snapshot-of-reference: it stays valid exactly as long
-    as the underlying graph is unmutated, which the graph guarantees
-    (all ASGraph "mutation" derives new instances).
+    The routing kernel reads neither method per node: it takes the base
+    graph's adjacency lists and cost dict once through
+    :meth:`routing_inputs` and treats ``k`` as settled from the start,
+    so a hot loop never filters a neighbor tuple.  The view is a
+    snapshot-of-reference: it stays valid exactly as long as the
+    underlying graph is unmutated, which the graph guarantees (all
+    ASGraph "mutation" derives new instances).
     """
 
     __slots__ = ("_graph", "_masked")
@@ -82,6 +93,15 @@ class MaskedGraphView:
         if node == self._masked:
             raise GraphError(f"unknown node {node}")
         return self._graph.cost(node)
+
+    def routing_inputs(self) -> RoutingInputs:
+        """The base graph's neighbor lists and costs, and the hidden ``k``.
+
+        ``k`` still appears in its neighbors' lists; a kernel reading
+        them must never settle or relabel ``k``.
+        """
+        adjacency, costs, _ = self._graph.routing_inputs()
+        return adjacency, costs, self._masked
 
     def __repr__(self) -> str:
         return f"MaskedGraphView({self._graph!r} - node {self._masked})"
@@ -222,6 +242,14 @@ class ASGraph:
     def costs(self) -> Dict[NodeId, Cost]:
         """A copy of the full declared-cost vector ``c``."""
         return dict(self._costs)
+
+    def routing_inputs(self) -> RoutingInputs:
+        """The neighbor lists and costs themselves, no hidden node.
+
+        The routing kernels' read path: one call, no copy, and no method
+        call per node.  Callers must not mutate what it returns.
+        """
+        return self._adjacency, self._costs, None
 
     def path_cost(self, path: Sequence[NodeId]) -> Cost:
         """Transit cost of *path*: the sum of intermediate node costs.

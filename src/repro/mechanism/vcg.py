@@ -340,11 +340,15 @@ def price_destination(
     *detours* maps each transit node ``k`` (``tree.transit_nodes()``)
     to its ``G - k`` tree toward the same destination, and *index* maps
     node ids to dense indices.  Each source's transit nodes are read by
-    walking its parents, so no path is spelled.  The first undefined or
-    negative price, in source order then path order, raises.
+    walking its parents, so no path is spelled, and the detour costs and
+    declared costs are read from their dicts, not through a method per
+    entry.  The first undefined or negative price, in source order then
+    path order, raises.
     """
     destination = tree.destination
     parents, lcp_costs = tree.parents, tree.costs
+    _, declared, _ = graph.routing_inputs()
+    detour_costs = {k: detour.costs for k, detour in detours.items()}
     pair_src: List[int] = []
     pair_width: List[int] = []
     entry_k: List[int] = []
@@ -355,15 +359,15 @@ def price_destination(
             continue  # direct link: no transit nodes, no prices
         width = 0
         while k != destination:
-            detour = detours[k]
-            if not detour.has_route(source):
+            detour_cost = detour_costs[k].get(source)
+            if detour_cost is None:
                 raise NotBiconnectedError(
                     message=(
                         f"price p^{k}_{{{source},{destination}}} undefined: "
                         f"no {k}-avoiding path (graph not biconnected)"
                     )
                 )
-            price = graph.cost(k) + detour.cost(source) - lcp_costs[source]
+            price = declared[k] + detour_cost - lcp_costs[source]
             if price < -1e-9:
                 raise MechanismError(
                     f"negative VCG price {price} for k={k}, pair "

@@ -153,18 +153,26 @@ def route_tree(graph: GraphLike, destination: NodeId) -> RouteTree:
     *graph* may be a real :class:`ASGraph` or a copy-free
     :class:`~repro.graphs.asgraph.MaskedGraphView` (the k-avoiding
     sweep's representation of ``G - k``); only read access is used.
+    Either way the kernel reads the base graph's adjacency lists and
+    cost dict directly (``routing_inputs``), never a per-node method.
+    A view's hidden node ``k`` still sits in its neighbors' lists, so
+    it starts with a label no candidate beats: settled from the start,
+    never pushed, never a parent, exactly as if it were absent.
     """
     if destination not in graph:
         raise UnreachableError(destination, destination)
+    adjacency, node_costs, masked = graph.routing_inputs()
     # node -> (cost, hops, parent) of its best candidate so far.  Costs
     # are non-negative, so a finalized node's label already beats every
     # later candidate; no separate finalized check is needed per edge.
     best: Dict[NodeId, Tuple[Cost, int, NodeId]] = {destination: (0.0, 0, destination)}
+    if masked is not None:
+        best[masked] = (-1.0, 0, masked)  # below every candidate: never pushed
     finalized: Set[NodeId] = set()
     order: List[NodeId] = []
     heap: List[Tuple[Cost, int, NodeId]] = [(0.0, 0, destination)]
     push, pop = heapq.heappush, heapq.heappop
-    neighbors_of, cost_of, label_of = graph.neighbors, graph.cost, best.get
+    label_of = best.get
     while heap:
         # A node can sit in the heap more than once; its first pop
         # carries its best (cost, hops), and ``best`` its best parent.
@@ -173,9 +181,9 @@ def route_tree(graph: GraphLike, destination: NodeId) -> RouteTree:
             continue
         finalized.add(node)
         order.append(node)
-        hop_cost = 0.0 if node == destination else cost_of(node)
+        hop_cost = 0.0 if node == destination else node_costs[node]
         candidate = (cost + hop_cost, hops + 1, node)
-        for neighbor in neighbors_of(node):
+        for neighbor in adjacency[node]:
             incumbent = label_of(neighbor)
             if incumbent is None or candidate < incumbent:
                 best[neighbor] = candidate

@@ -25,22 +25,24 @@ re-running Dijkstra:
   link recovery.
 * **Worsening events** (cost increase at ``x``, link removal) detach
   exactly the orphaned cone -- the parent-forest subtree under ``x``
-  (resp. under the downstream endpoint of a removed tree edge) -- drop
-  its labels, seed each detached node from its intact neighbors and
-  run the same wave.  Labels outside the cone were optimal before and
-  only competing candidates worsened, so no candidate through the cone
-  beats one of them and the wave stays inside the cone.
+  (resp. under the downstream endpoint of a removed tree edge), found
+  by walking the adjacency from its root -- drop its labels, seed each
+  detached node from its intact neighbors and run the same wave.
+  Labels outside the cone were optimal before and only competing
+  candidates worsened, so no candidate through the cone beats one of
+  them and the wave stays inside the cone.
 
 Every epoch diff decomposes into elementary events applied
 *sequentially* (sorted removals, then sorted cost changes, then sorted
 additions) against evolving intermediate costs/adjacency; each repair
 is exact for its intermediate graph, so arbitrarily many improving
 changes compose per diff -- the full-rebuild fallback PR 5 needed for
-multi-improving diffs is gone.  Repairs build replacement trees on
-scratch state and the caches commit only once the whole diff (including
-the reference engine's disconnection check, reproduced in the same
-destination order for error parity) has succeeded, so a raised error
-leaves every cache at the previous epoch.
+multi-improving diffs is gone.  A cached tree an event cannot change
+costs one ``O(degree)`` test and no repair.  Repairs build replacement
+trees on scratch state and the caches commit only once the whole diff
+(including the reference engine's disconnection check, reproduced in
+the same destination order for error parity) has succeeded, so a
+raised error leaves every cache at the previous epoch.
 
 Full algorithm write-up, invariants, and fallback conditions:
 DESIGN.md section 14.
@@ -64,6 +66,7 @@ from typing import (
     Iterable,
     List,
     Optional,
+    Sequence,
     Set,
     Tuple,
 )
@@ -77,7 +80,7 @@ from repro.graphs.asgraph import ASGraph
 from repro.obs import names as metric_names
 from repro.routing.dijkstra import RouteTree, route_tree
 from repro.routing.engines.base import Engine
-from repro.types import Cost, Edge, NodeId
+from repro.types import Cost, NodeId
 
 if TYPE_CHECKING:  # pragma: no cover - import-light at runtime
     from repro.mechanism.vcg import DestinationPrices, PriceTable
@@ -88,8 +91,9 @@ PairKey = Tuple[NodeId, NodeId]
 #: ``(cost, hops, parent)``: a route's canonical rank, as route_tree keeps it
 Label = Tuple[Cost, int, NodeId]
 
-#: adjacency snapshot the repair waves walk; values iterated sorted
-Adjacency = Dict[NodeId, Set[NodeId]]
+#: the neighbor lists the repair waves walk, ascending; a list is
+#: replaced, never mutated, since unchanged ones are the graph's own
+Adjacency = Dict[NodeId, Sequence[NodeId]]
 
 
 @dataclass
@@ -142,7 +146,7 @@ def _wave(
     costs: Dict[NodeId, Cost],
     masked: Optional[NodeId],
     dropped: AbstractSet[NodeId] = frozenset(),
-) -> Tuple[Optional[RouteTree], int]:
+) -> Tuple[Optional[RouteTree], int, int]:
     """Settle every label that strictly improves, and nothing else.
 
     Labels are the ``(cost, hops, parent)`` triples
@@ -156,8 +160,8 @@ def _wave(
     improved cone is re-settled and every final label equals the cold
     recomputation bit for bit.  No candidate closes a loop: every node
     on a settled node's path holds a smaller label already.  Returns
-    ``(repaired tree, labels settled)``, or ``(None, 0)`` when nothing
-    changes.
+    ``(repaired tree, labels dropped, labels settled)``, or
+    ``(None, 0, 0)`` when nothing changes.
     """
     destination = tree.destination
     old_parents, old_costs = tree.parents, tree.costs
@@ -209,7 +213,7 @@ def _wave(
         elif via in old_costs and via not in dropped:
             offer(node, old_costs[via] + costs[via], via)
     if not heap and not dropped:
-        return None, 0
+        return None, 0, 0
     parents = dict(old_parents)
     label_costs = dict(old_costs)
     for node in sorted(dropped):
@@ -227,10 +231,10 @@ def _wave(
         parents[node] = best[node][2]
         label_costs[node] = cost
         through = cost + costs[node]
-        for neighbor in sorted(adjacency[node]):
+        for neighbor in adjacency[node]:
             offer(neighbor, through, node, hops + 1)
     repaired = RouteTree(destination=destination, parents=parents, costs=label_costs)
-    return repaired, settled
+    return repaired, len(dropped), settled
 
 
 def _detach_and_reanchor(
@@ -251,103 +255,59 @@ def _detach_and_reanchor(
     of unreachable sources.  Returns ``(repaired tree, labels detached,
     labels re-established)``.
     """
-    seeds = [(node, via) for node in sorted(detach) for via in sorted(adjacency[node])]
-    repaired, settled = _wave(tree, seeds, adjacency, costs, masked, detach)
-    return repaired, len(detach), settled
+    seeds = [(node, via) for node in sorted(detach) for via in adjacency[node]]
+    return _wave(tree, seeds, adjacency, costs, masked, detach)
 
 
-def _subtree(tree: RouteTree, root: NodeId) -> Set[NodeId]:
-    """*root* plus every node routing through it in the parent forest."""
-    children: Dict[NodeId, List[NodeId]] = {}
-    for child, parent in tree.parents.items():
-        children.setdefault(parent, []).append(child)
+def _improvable(
+    tree: RouteTree,
+    seeds: List[Tuple[NodeId, NodeId]],
+    costs: Dict[NodeId, Cost],
+    masked: Optional[NodeId],
+) -> bool:
+    """Whether some seed candidate costs no more than its node's label.
+
+    The wave's seed offers, reduced to their cost test: when this is
+    false every offer loses on cost, nothing is pushed, and the wave
+    would return the tree unchanged.  ``O(len(seeds))``.
+    """
+    destination, labels = tree.destination, tree.costs
+    for node, via in seeds:
+        if node == destination or node == masked:
+            continue  # never relabeled
+        if via == destination:
+            candidate = 0.0
+        elif via in labels:
+            candidate = labels[via] + costs[via]
+        else:
+            continue  # an unlabeled via offers nothing
+        incumbent = labels.get(node)
+        if incumbent is None or candidate <= incumbent:
+            return True
+    return False
+
+
+def _subtree(tree: RouteTree, root: NodeId, adjacency: Adjacency) -> Set[NodeId]:
+    """*root* plus every node routing through it in the parent forest.
+
+    Every child is a neighbor, so the walk keeps the neighbors whose
+    parent is the node being walked: it costs the degrees inside the
+    cone, and no children index exists to be carried through waves or
+    copied at commit.  It is exact after a link removal too: the removed
+    link joined the cone's root to its parent outside the cone, so every
+    tree edge inside the cone is still in *adjacency*.  No node is
+    reached twice, because each has one parent.
+    """
+    parents = tree.parents
     cone = {root}
     stack = [root]
     while stack:
         node = stack.pop()
-        for child in children.get(node, ()):
-            if child not in cone:
-                cone.add(child)
-                stack.append(child)
+        for neighbor in adjacency[node]:
+            if parents.get(neighbor) == node:
+                cone.add(neighbor)
+                stack.append(neighbor)
     return cone
-
-
-def _repair_removal(
-    tree: RouteTree,
-    u: NodeId,
-    v: NodeId,
-    adjacency: Adjacency,
-    costs: Dict[NodeId, Cost],
-    masked: Optional[NodeId],
-) -> Tuple[Optional[RouteTree], int, int]:
-    """Repair one tree after edge ``(u, v)`` left the graph.
-
-    Only trees actually *using* the edge change: a selected path uses
-    ``(u, v)`` iff it is a tree edge of the parent forest, and then
-    exactly the subtree under its downstream endpoint is orphaned.
-    Returns ``(repaired tree or None, labels detached, labels
-    re-anchored)``.
-    """
-    if tree.parents.get(u) == v:
-        root = u
-    elif tree.parents.get(v) == u:
-        root = v
-    else:
-        return None, 0, 0
-    return _detach_and_reanchor(tree, _subtree(tree, root), adjacency, costs, masked)
-
-
-def _repair_cost_change(
-    tree: RouteTree,
-    x: NodeId,
-    old_cost: Cost,
-    new_cost: Cost,
-    adjacency: Adjacency,
-    costs: Dict[NodeId, Cost],
-    masked: Optional[NodeId],
-) -> Tuple[Optional[RouteTree], int, int]:
-    """Repair one tree after ``c_x`` changed (caller already skipped
-    ``x == destination`` and ``x == masked``; *costs* holds the new
-    value).
-
-    ``x``'s own label never moves (endpoint costs are free and simple
-    paths from ``x`` cannot transit ``x``).  An increase orphans
-    exactly ``x``'s descendants; a decrease seeds every neighbor of
-    ``x`` with its through-``x`` candidate and lets the improve wave
-    cascade -- descendants re-label along their unchanged paths at the
-    lower fold, and newly-through-``x`` nodes are captured by the same
-    wave.  Returns ``(repaired tree or None, detached, settled)``.
-    """
-    if new_cost > old_cost:
-        detach = _subtree(tree, x)
-        detach.discard(x)
-        if not detach:
-            return None, 0, 0
-        return _detach_and_reanchor(tree, detach, adjacency, costs, masked)
-    # An unreachable x seeds nothing: no path transits it either.
-    seeds = [(neighbor, x) for neighbor in sorted(adjacency[x])]
-    repaired, settled = _wave(tree, seeds, adjacency, costs, masked)
-    return repaired, 0, settled
-
-
-def _repair_addition(
-    tree: RouteTree,
-    u: NodeId,
-    v: NodeId,
-    adjacency: Adjacency,
-    costs: Dict[NodeId, Cost],
-    masked: Optional[NodeId],
-) -> Tuple[Optional[RouteTree], int, int]:
-    """Repair one tree after edge ``(u, v)`` joined the graph.
-
-    Both orientations seed the improve wave: the candidate for ``a``
-    via ``b`` extends ``b``'s (unchanged) label across the new link.
-    Sources with no label -- disconnected in ``G`` or in ``G - k`` --
-    reconnect through the same wave.  Returns ``(repaired tree or
-    None, 0, settled)``.
-    """
-    repaired, settled = _wave(tree, [(u, v), (v, u)], adjacency, costs, masked)
-    return repaired, 0, settled
 
 
 class IncrementalEngine(Engine):
@@ -364,9 +324,8 @@ class IncrementalEngine(Engine):
 
     def __init__(self) -> None:
         self.stats = CacheStats()
+        # the cached epoch's graph: its costs and links are the diff base
         self._graph: Optional[ASGraph] = None
-        self._costs: Dict[NodeId, Cost] = {}
-        self._edges: Set[Edge] = set()
         self._trees: Dict[NodeId, RouteTree] = {}
         self._avoiding: Dict[NodeId, Dict[NodeId, RouteTree]] = {}
         # one destination's price rows, as its slice of the table columns
@@ -379,8 +338,6 @@ class IncrementalEngine(Engine):
     def reset(self) -> None:
         """Drop every cached tree and price row (cold restart)."""
         self._graph = None
-        self._costs = {}
-        self._edges = set()
         self._trees = {}
         self._avoiding = {}
         self._rows = {}
@@ -496,93 +453,106 @@ class IncrementalEngine(Engine):
         against the *intermediate* costs/adjacency, so each repair is
         exact for its intermediate graph and the composition is exact
         for the final one -- improving changes ride the repair path no
-        matter how many share the diff.  All repairs build replacement
-        trees on scratch dicts; the caches commit only after the whole
-        diff and the reference-parity disconnection check succeed.
+        matter how many share the diff.  A tree the event cannot change
+        costs one ``O(degree)`` test and no repair call (DESIGN.md
+        section 11).  All repairs build replacement trees on scratch
+        dicts; the caches commit only after the whole diff and the
+        reference-parity disconnection check succeed.
         """
-        if self._graph is graph:
+        old_graph = self._graph
+        if old_graph is graph:
             return
-        if self._graph is None:
+        if old_graph is None or graph.nodes != old_graph.nodes:
             self._rebuild_all(graph)
             return
+        old_adjacency, old_costs, _ = old_graph.routing_inputs()
         new_costs = graph.costs()
-        if set(new_costs) != set(self._costs):
-            self._rebuild_all(graph)
-            return
-        old_costs = self._costs
         changed = sorted(
             x for x in new_costs if new_costs[x] != old_costs[x]
         )
-        new_edges = set(graph.edges)
-        removed = sorted(self._edges - new_edges)
-        added = sorted(new_edges - self._edges)
+        old_edges, new_edges = set(old_graph.edges), set(graph.edges)
+        removed = sorted(old_edges - new_edges)
+        added = sorted(new_edges - old_edges)
         if not changed and not removed and not added:
             self._graph = graph
             return
 
         costs = dict(old_costs)
-        adjacency: Adjacency = {node: set() for node in old_costs}
-        for u, v in sorted(self._edges):
-            adjacency[u].add(v)
-            adjacency[v].add(u)
+        adjacency: Adjacency = dict(old_adjacency)
         trees = dict(self._trees)
         avoiding = {j: dict(cache_j) for j, cache_j in self._avoiding.items()}
+        # Every cached tree as (store, key, masked node).  Repairs
+        # replace trees, never add or drop one, so the list holds for
+        # the whole diff.
+        cached = [(trees, j, None) for j in trees] + [
+            (cache_j, k, k) for cache_j in avoiding.values() for k in cache_j
+        ]
         touched_trees: Set[NodeId] = set()
         touched_avoiding: Set[PairKey] = set()
         repairs = 0
 
         for u, v in removed:
-            adjacency[u].discard(v)
-            adjacency[v].discard(u)
-            for j in sorted(trees):
-                repairs += self._repair_one(
-                    trees, j, None, touched_trees, touched_avoiding,
-                    _repair_removal, u, v, adjacency, costs,
-                )
-            for j in sorted(avoiding):
-                for k in sorted(avoiding[j]):
-                    if k in (u, v):
-                        continue  # G - k never contained this link
-                    repairs += self._repair_one(
-                        avoiding[j], k, (j, k), touched_trees, touched_avoiding,
-                        _repair_removal, u, v, adjacency, costs,
-                    )
-        for x in changed:
-            old_cost = costs[x]
-            new_cost = new_costs[x]
-            costs[x] = new_cost
-            for j in sorted(trees):
-                if x == j:
-                    continue  # root cost is never counted
-                repairs += self._repair_one(
-                    trees, j, None, touched_trees, touched_avoiding,
-                    _repair_cost_change, x, old_cost, new_cost, adjacency, costs,
-                )
-            for j in sorted(avoiding):
-                if x == j:
+            adjacency[u] = [w for w in adjacency[u] if w != v]
+            adjacency[v] = [w for w in adjacency[v] if w != u]
+            for store, key, masked in cached:
+                # Only a tree edge's removal changes a tree, and it
+                # orphans the cone under its downstream endpoint.  (In
+                # G - k, k is nobody's parent and has no parent.)
+                tree = store[key]
+                if tree.parents.get(u) == v:
+                    root = u
+                elif tree.parents.get(v) == u:
+                    root = v
+                else:
                     continue
-                for k in sorted(avoiding[j]):
-                    if x == k:
-                        continue  # node absent from G - k
-                    repairs += self._repair_one(
-                        avoiding[j], k, (j, k), touched_trees, touched_avoiding,
-                        _repair_cost_change, x, old_cost, new_cost, adjacency, costs,
-                    )
-        for u, v in added:
-            adjacency[u].add(v)
-            adjacency[v].add(u)
-            for j in sorted(trees):
                 repairs += self._repair_one(
-                    trees, j, None, touched_trees, touched_avoiding,
-                    _repair_addition, u, v, adjacency, costs,
+                    store, key, masked, touched_trees, touched_avoiding,
+                    _detach_and_reanchor, _subtree(tree, root, adjacency),
+                    adjacency, costs,
                 )
-            for j in sorted(avoiding):
-                for k in sorted(avoiding[j]):
-                    if k in (u, v):
-                        continue
+        for x in changed:
+            increase = new_costs[x] > costs[x]
+            costs[x] = new_costs[x]
+            # A decrease offers every neighbor its route through x:
+            # descendants re-label at the lower fold, and nodes newly
+            # through x join the same wave.
+            seeds = [(neighbor, x) for neighbor in adjacency[x]]
+            for store, key, masked in cached:
+                tree = store[key]
+                if x == tree.destination:
+                    continue  # root cost is never counted
+                if not increase:
+                    if _improvable(tree, seeds, costs, masked):
+                        repairs += self._repair_one(
+                            store, key, masked, touched_trees, touched_avoiding,
+                            _wave, seeds, adjacency, costs,
+                        )
+                    continue
+                # Only x's descendants route through x; every child is
+                # a neighbor.  (x = k is nobody's parent in G - k.)
+                parents = tree.parents
+                for neighbor in adjacency[x]:
+                    if parents.get(neighbor) == x:
+                        break
+                else:
+                    continue
+                detach = _subtree(tree, x, adjacency)
+                detach.discard(x)
+                repairs += self._repair_one(
+                    store, key, masked, touched_trees, touched_avoiding,
+                    _detach_and_reanchor, detach, adjacency, costs,
+                )
+        for u, v in added:
+            adjacency[u] = sorted([*adjacency[u], v])
+            adjacency[v] = sorted([*adjacency[v], u])
+            # Both orientations; the wave also reconnects unlabeled
+            # sources (cut off in G, or in G - k).
+            seeds = [(u, v), (v, u)]
+            for store, key, masked in cached:
+                if _improvable(store[key], seeds, costs, masked):
                     repairs += self._repair_one(
-                        avoiding[j], k, (j, k), touched_trees, touched_avoiding,
-                        _repair_addition, u, v, adjacency, costs,
+                        store, key, masked, touched_trees, touched_avoiding,
+                        _wave, seeds, adjacency, costs,
                     )
 
         # Reference error parity: the cold engine raises at the first
@@ -608,14 +578,12 @@ class IncrementalEngine(Engine):
         self._trees = trees
         self._avoiding = avoiding
         self._graph = graph
-        self._costs = new_costs
-        self._edges = new_edges
 
     def _repair_one(
         self,
         store: Dict[NodeId, RouteTree],
         key: NodeId,
-        avoid_key: Optional[PairKey],
+        masked: Optional[NodeId],
         touched_trees: Set[NodeId],
         touched_avoiding: Set[PairKey],
         repair,
@@ -624,11 +592,10 @@ class IncrementalEngine(Engine):
         """Apply one elementary-event repair to one stored tree.
 
         For a route tree *store* is the tree dict keyed by destination
-        and *avoid_key* is ``None``; for an avoiding tree *store* is
-        the per-destination cache keyed by the masked node ``k`` and
-        *avoid_key* is ``(j, k)``.  Returns 1 if the tree changed.
+        and *masked* is ``None``; for an avoiding tree *store* is the
+        per-destination cache keyed by the masked node ``k``, and
+        *masked* is ``k``.  Returns 1 if the tree changed.
         """
-        masked = avoid_key[1] if avoid_key is not None else None
         repaired, detached, settled = repair(store[key], *args, masked)
         if repaired is None:
             return 0
@@ -638,10 +605,10 @@ class IncrementalEngine(Engine):
             self.stats.reanchored += settled
         else:
             self.stats.relaxed += settled
-        if avoid_key is None:
+        if masked is None:
             touched_trees.add(key)
         else:
-            touched_avoiding.add(avoid_key)
+            touched_avoiding.add((repaired.destination, key))
         return 1
 
     def _rebuild_all(self, graph: ASGraph) -> None:
@@ -649,28 +616,29 @@ class IncrementalEngine(Engine):
 
         Reached only from an empty cache or a changed *node set* (the
         diff model mutates costs and links, never membership); every
-        cost/link diff, whatever its size, rides the repair path.
+        cost/link diff, whatever its size, rides the repair path.  The
+        trees are built in locals: the caches reset, commit and count
+        their invalidations only once every tree succeeded, so a
+        disconnected graph leaves the previous epoch intact.
         """
-        self.stats.invalidations += len(self._trees) + sum(
-            len(cache) for cache in self._avoiding.values()
-        )
-        self.reset()
         trees: Dict[NodeId, RouteTree] = {}
         expected = graph.num_nodes - 1
         for destination in graph.nodes:
             tree = route_tree(graph, destination)
             self.stats.misses += 1
             self.stats.dijkstra_runs += 1
-            if len(tree.sources()) != expected:
-                missing = set(graph.nodes) - set(tree.sources()) - {destination}
+            if len(tree.parents) != expected:
+                missing = set(graph.nodes) - set(tree.parents) - {destination}
                 raise DisconnectedGraphError(
                     f"nodes {sorted(missing)} cannot reach {destination}"
                 )
             trees[destination] = tree
+        self.stats.invalidations += len(self._trees) + sum(
+            len(cache) for cache in self._avoiding.values()
+        )
+        self.reset()
         self._trees = trees
         self._graph = graph
-        self._costs = graph.costs()
-        self._edges = set(graph.edges)
 
     # ------------------------------------------------------------------
     # Price rows

@@ -279,12 +279,26 @@ class TestLabelKernel:
                 _path_tuple_route_tree(graph, destination)
             )
 
+    @pytest.mark.parametrize("family", sorted(COST_FAMILIES))
     @given(data=st.data())
-    def test_matches_on_masked_views(self, data):
-        graph = data.draw(graphs("integer"))
+    def test_matches_on_masked_views(self, family, data):
+        graph = data.draw(graphs(family, connected=data.draw(st.booleans())))
         masked = data.draw(st.sampled_from(graph.nodes))
         view = graph.masked_without_node(masked)
         for destination in view.nodes:
-            assert _tree_state(route_tree(view, destination)) == (
-                _path_tuple_route_tree(view, destination)
-            )
+            tree = route_tree(view, destination)
+            assert _tree_state(tree) == _path_tuple_route_tree(view, destination)
+            # Masking a cut node leaves the sources it cut off unlabeled.
+            assert set(tree.parents) == _reachable(view, destination) - {destination}
+
+
+def _reachable(view, destination):
+    """Nodes *destination* reaches in *view*, by its ``neighbors``."""
+    seen = {destination}
+    stack = [destination]
+    while stack:
+        for neighbor in view.neighbors(stack.pop()):
+            if neighbor not in seen:
+                seen.add(neighbor)
+                stack.append(neighbor)
+    return seen

@@ -26,6 +26,7 @@ from repro.obs import names as metric_names
 from repro.routing.allpairs import all_pairs_lcp
 from repro.routing.dijkstra import route_tree
 from repro.routing.engines import IncrementalEngine, get_engine
+from repro.routing.engines.incremental import _subtree
 
 _MECHANISM_ERRORS = (NotBiconnectedError, MechanismError, DisconnectedGraphError)
 
@@ -220,6 +221,73 @@ class TestBiconnectivityBreakAndRecovery:
         with pytest.raises(DisconnectedGraphError) as cold_err:
             all_pairs_lcp(lonely)
         assert str(warm_err.value) == str(cold_err.value)
+
+    def test_failed_cold_rebuild_keeps_the_previous_epoch(self):
+        # A new node forces a cold rebuild; an isolated one makes it
+        # raise.  The error must match the reference and leave every
+        # cache, and the invalidation count, as the warm epoch had them.
+        graph = ASGraph(
+            nodes=[(i, float(i % 3)) for i in range(5)],
+            edges=[(i, (i + 1) % 5) for i in range(5)] + [(0, 2)],
+        )
+        engine = IncrementalEngine()
+        assert_epoch_identical(engine, graph)
+        grown = ASGraph(
+            nodes=[(i, float(i % 3)) for i in range(6)], edges=graph.edges
+        )
+        invalidations = engine.stats.invalidations
+        with pytest.raises(DisconnectedGraphError) as warm_err:
+            engine.all_pairs(grown)
+        with pytest.raises(DisconnectedGraphError) as cold_err:
+            all_pairs_lcp(grown)
+        assert str(warm_err.value) == str(cold_err.value)
+        assert engine.cached_destinations == graph.num_nodes
+        assert engine.stats.invalidations == invalidations
+        runs = engine.stats.dijkstra_runs
+        assert_epoch_identical(engine, graph)
+        assert engine.stats.dijkstra_runs == runs
+
+
+def _cone(tree, x):
+    """The definition: *x* plus every source whose path transits *x*."""
+    return {x} | {source for source in tree.parents if tree.on_path(x, source)}
+
+
+class TestConeWalk:
+    """The orphaned cone, walked over the adjacency, is its definition.
+
+    The walk keeps the neighbors whose parent is the node being walked;
+    it must find exactly the sources routing through the root, in route
+    trees and ``G - k`` trees alike, and still after a tree edge left
+    the adjacency (the removal case, where the root is the edge's
+    downstream endpoint).
+    """
+
+    @settings(max_examples=40, deadline=None)
+    @given(event_scripts(max_events=4))
+    def test_cone_matches_on_path_definition(self, script):
+        graph, events = script
+        failed: list = []
+        for step in events:
+            mutated, failed = _apply_script_step(graph, step, failed)
+            if mutated is not None:
+                graph = mutated
+        adjacency = {node: list(graph.neighbors(node)) for node in graph.nodes}
+        for destination in graph.nodes:
+            trees = [route_tree(graph, destination)] + [
+                route_tree(graph.masked_without_node(k), destination)
+                for k in graph.nodes
+                if k != destination
+            ]
+            for tree in trees:
+                for x in graph.nodes:
+                    if x != destination:
+                        assert _subtree(tree, x, adjacency) == _cone(tree, x)
+                for child, parent in tree.parents.items():
+                    cut = dict(adjacency)
+                    cut[child] = [w for w in adjacency[child] if w != parent]
+                    cut[parent] = [w for w in adjacency[parent] if w != child]
+                    assert _subtree(tree, child, cut) == _cone(tree, child)
 
 
 class TestCacheAccounting:
