@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check lint analyze test test-deprecations bench bench-smoke bench-protocol bench-dynamics bench-analyzer bench-flat bench-flat-parallel bench-timed sanitize-test test-engines test-timed trace-smoke
+.PHONY: check lint analyze test test-deprecations bench bench-smoke bench-protocol bench-dynamics bench-analyzer bench-flat bench-timed sanitize-test test-engines test-timed trace-smoke
 
 check:
 	$(PYTHON) -m repro.devtools.check
@@ -32,15 +32,16 @@ sanitize-test:
 	REPRO_SANITIZE=1 $(PYTHON) -m pytest -x -q
 
 # cross-engine differential harness: every registered engine must
-# agree with the reference (golden fixtures, worker/shard invariance,
-# zero-cost exactness, the canonical forest builder's exact routes,
-# the incremental engine's repaired trees and prices after every
-# epoch), with the runtime sanitizer enabled
+# agree with the reference (golden fixtures, the flat sweep's prices
+# and error witnesses on tie-heavy and cut-vertex graphs, zero-cost
+# exactness, the canonical forest builder's exact routes, the
+# incremental engine's repaired trees and prices after every epoch),
+# with the runtime sanitizer enabled
 test-engines:
 	REPRO_SANITIZE=1 $(PYTHON) -m pytest -x -q \
 		tests/test_engine_differential.py \
 		tests/test_golden_engines.py \
-		tests/test_flat_parallel.py \
+		tests/test_flat_engine.py \
 		tests/test_engine_registry.py \
 		tests/test_canonical_forest.py \
 		tests/test_incremental_engine.py
@@ -96,15 +97,6 @@ bench-timed:
 # ISP-like preset within its demand-derived memory bound
 bench-flat:
 	$(PYTHON) benchmarks/bench_flat_sweep.py --out BENCH_flat.json
-
-# sharded flat-sweep gate: on the isp-like-2000 preset the 4-worker
-# array-native sweep must beat the single-process flat_price_rows dict
-# helper (sweep plus to_rows) by >= 2x with bit-identical prices
-# across worker counts;
-# merges the speedup-vs-workers rows into BENCH_flat.json without
-# discarding the committed full-preset records
-bench-flat-parallel:
-	$(PYTHON) benchmarks/bench_flat_sweep.py --phases parallel --out BENCH_flat.json
 
 # analyzer wall-clock benchmark: full-tree analysis must stay under
 # ~5 s so the contract gate remains a per-commit check; writes

@@ -3,10 +3,9 @@
 The ``flat`` engine is the scaling backend for the Theorem 1 price
 sweep: one-shot CSR build, O(deg(k)) in-place masking for ``G - k``,
 vectorized route inversion, demand-restricted and symmetry-oriented
-Dijkstra batches, array-native price evaluation; with ``workers > 1``
-it shards the same sweep across worker processes over shared memory.
-This benchmark pins the claims that justify both, and fails (non-zero
-exit) if any regresses:
+Dijkstra batches, array-native price evaluation.  This benchmark pins
+the claims that justify it, and fails (non-zero exit) if any
+regresses:
 
 1. **Identity** (phase ``identity``).  At n <= 200 the flat table must
    match the reference engine (n = 128) and the legacy k-major sweep
@@ -24,14 +23,7 @@ exit) if any regresses:
    accounting.  The phase also records the bytes the canonical route
    trees hold once built (``routes_held_bytes``).
 
-4. **Sharded speed** (phase ``parallel``).  On the isp-like-2000
-   preset, the array-native sharded sweep with 4 workers must beat the
-   single-process :func:`flat_price_rows` dict helper (sweep plus
-   ``to_rows``) by at least ``PARALLEL_SPEEDUP_FLOOR`` (2x), with speedup-vs-workers rows
-   recorded for workers 1/2/4 and bit-identical prices across worker
-   counts.  This is the ``make bench-flat-parallel`` CI gate.
-
-5. **Preset scaling** (phase ``presets``).  Every scaling preset is
+4. **Preset scaling** (phase ``presets``).  Every scaling preset is
    priced end-to-end on the array-native path (demand read straight
    from the canonical forest builder's arrays + inline sweep),
    recording wall-clock, peak tracemalloc, and peak RSS,
@@ -42,18 +34,20 @@ exit) if any regresses:
    committed artifact rather than per-CI).
 
 ``--phases`` selects a comma-separated subset; the output document
-*merges* into an existing ``BENCH_flat.json`` (phases not re-run keep
-their previous records), so the parallel CI gate does not discard the
-committed full-preset rows.  Run directly::
+*merges* into an existing ``BENCH_flat.json`` (phases of ``ALL_PHASES``
+not re-run keep their previous records), so a partial run such as the
+CI gate ``--phases identity,speedup`` does not discard the committed
+full-preset rows.  The document's ``host`` block records the CPU count
+and the Python, numpy and scipy versions of the run.  Run directly::
 
     python benchmarks/bench_flat_sweep.py --quick --out BENCH_flat.json
-    python benchmarks/bench_flat_sweep.py --phases parallel
+    python benchmarks/bench_flat_sweep.py --phases identity,speedup
     python benchmarks/bench_flat_sweep.py --phases presets --full-presets
 
-(``--quick`` shrinks the speedup/parallel instances and skips the
-memory/presets phases; quick runs record but do not gate.)  Under
-pytest (``make bench``) a small configuration doubles as a regression
-assertion on identity, worker parity, and the demand accounting.
+(``--quick`` shrinks the speedup instance and skips the memory/presets
+phases; quick runs record but do not gate.)  Under pytest
+(``make bench``) a small configuration doubles as a regression
+assertion on identity and the demand accounting.
 
 This module must stay importable with the baseline toolchain only (in
 particular: no module-level scipy or numpy) -- ``repro.devtools.check``
@@ -67,9 +61,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import resource
 import time
 import tracemalloc
+from importlib import metadata
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import EngineError, MechanismError, NotBiconnectedError
@@ -79,7 +75,6 @@ from repro.graphs.generators import (
     integer_costs,
     isp_like_graph,
     scaling_graph,
-    uniform_costs,
 )
 from repro.types import Cost, NodeId, costs_close
 
@@ -93,18 +88,11 @@ if TYPE_CHECKING:  # annotations only; numpy/scipy load at call time
 #: The acceptance bar: flat sweep vs the legacy k-major sweep at n = 500.
 SPEEDUP_FLOOR = 5.0
 
-#: The acceptance bar: 4-worker array-native sharded sweep vs the
-#: single-process flat_price_rows dict helper at n = 2000.
-PARALLEL_SPEEDUP_FLOOR = 2.0
-
 IDENTITY_REFERENCE_N = 128
 IDENTITY_LEGACY_N = 200
 SPEEDUP_N = 500
 SPEEDUP_QUICK_N = 200
 MEMORY_PRESET = "isp-like-1000"
-PARALLEL_PRESET = "isp-like-2000"
-PARALLEL_QUICK_N = 300
-PARALLEL_WORKERS = (1, 2, 4)
 
 #: Preset sizes covered by the default ``presets`` phase vs by
 #: ``--full-presets`` (the n >= 5000 rows take minutes; they are
@@ -112,7 +100,7 @@ PARALLEL_WORKERS = (1, 2, 4)
 PRESET_GATE_SIZES = (1000, 2000)
 PRESET_FULL_SIZES = (1000, 2000, 5000, 10000)
 
-ALL_PHASES = ("identity", "speedup", "memory", "parallel", "presets")
+ALL_PHASES = ("identity", "speedup", "memory", "presets")
 
 
 def _tables_agree(expected, actual) -> List[str]:
@@ -344,13 +332,6 @@ def run_identity_phase() -> Dict[str, Any]:
         f"reference n={IDENTITY_REFERENCE_N}: {p}"
         for p in _tables_agree(reference_table.rows, flat_table.rows)
     ]
-    sharded_table = get_engine("flat", workers=2).price_table(
-        reference_graph, routes=reference_table.routes
-    )
-    problems += [
-        f"sharded n={IDENTITY_REFERENCE_N}: {p}"
-        for p in _tables_agree(reference_table.rows, sharded_table.rows)
-    ]
 
     legacy_graph = isp_like_graph(
         IDENTITY_LEGACY_N, seed=2, cost_sampler=integer_costs(1, 6)
@@ -462,84 +443,6 @@ def run_memory_phase() -> Dict[str, Any]:
     }
 
 
-def run_parallel_phase(quick: bool = False) -> Dict[str, Any]:
-    """Speedup-vs-workers for the sharded array-native sweep.
-
-    The baseline is the single-process dict helper
-    :func:`flat_price_rows` (the sweep plus ``to_rows``, which the
-    ``flat`` engine no longer pays), and the contenders are the
-    array-native sweep ``FlatEngine(workers=...)`` runs,
-    :func:`flat_price_arrays` with 1/2/4 workers, with no per-entry
-    Python assembly.  Canonical
-    routes are precomputed and shared so route selection is out of the
-    comparison, and prices must be bit-identical across all worker
-    counts.
-    """
-    import numpy as np
-
-    from repro.routing.allpairs import all_pairs_lcp
-    from repro.routing.engines.flat import flat_price_rows
-    from repro.routing.flatsweep import FlatSweepStats, flat_price_arrays
-
-    if quick:
-        preset = f"isp-like-{PARALLEL_QUICK_N} (ad hoc)"
-        graph = isp_like_graph(
-            PARALLEL_QUICK_N, seed=0, cost_sampler=uniform_costs(1.0, 6.0)
-        )
-    else:
-        preset = PARALLEL_PRESET
-        graph = scaling_graph(PARALLEL_PRESET)
-
-    routes_start = time.perf_counter()
-    routes = all_pairs_lcp(graph)
-    routes_seconds = time.perf_counter() - routes_start
-
-    dict_start = time.perf_counter()
-    flat_price_rows(graph, routes)
-    dict_seconds = time.perf_counter() - dict_start
-
-    worker_rows: List[Dict[str, Any]] = []
-    baseline_prices = None
-    identical = True
-    for workers in PARALLEL_WORKERS:
-        stats = FlatSweepStats()
-        start = time.perf_counter()
-        arrays = flat_price_arrays(graph, routes, workers=workers, stats=stats)
-        seconds = time.perf_counter() - start
-        if baseline_prices is None:
-            baseline_prices = arrays.prices
-        else:
-            identical = identical and np.array_equal(baseline_prices, arrays.prices)
-        worker_rows.append(
-            {
-                "workers": workers,
-                "shards": stats.shards,
-                "seconds": round(seconds, 4),
-                "speedup_vs_flat_dict": round(dict_seconds / seconds, 2)
-                if seconds > 0
-                else float("inf"),
-            }
-        )
-
-    gated = next(row for row in worker_rows if row["workers"] == 4)
-    return {
-        "preset": preset,
-        "n": graph.num_nodes,
-        "edges": graph.num_edges,
-        "routes_seconds": round(routes_seconds, 4),
-        "flat_dict_seconds": round(dict_seconds, 4),
-        "workers": worker_rows,
-        "speedup": gated["speedup_vs_flat_dict"],
-        "speedup_floor": PARALLEL_SPEEDUP_FLOOR,
-        "prices_identical_across_workers": identical,
-        "note": (
-            "baseline is the flat engine's dict deliverable; contenders are "
-            "the flat engine's array sweep per worker count (sweep + assembly "
-            "both counted, shared precomputed routes)"
-        ),
-    }
-
-
 def run_presets_phase(sizes: Sequence[int]) -> Dict[str, Any]:
     """Price every scaling preset end-to-end on the array-native path.
 
@@ -628,11 +531,7 @@ def run_suite(
     full_presets: bool = False,
 ) -> Dict[str, Any]:
     if phases_selected is None:
-        phases_selected = (
-            ("identity", "speedup", "parallel")
-            if quick
-            else ("identity", "speedup", "memory", "parallel", "presets")
-        )
+        phases_selected = ALL_PHASES
     phases: Dict[str, Any] = {}
     if "identity" in phases_selected:
         phases["identity"] = run_identity_phase()
@@ -640,8 +539,6 @@ def run_suite(
         phases["speedup"] = run_speedup_phase(SPEEDUP_QUICK_N if quick else SPEEDUP_N)
     if "memory" in phases_selected and not quick:
         phases["memory"] = run_memory_phase()
-    if "parallel" in phases_selected:
-        phases["parallel"] = run_parallel_phase(quick=quick)
     if "presets" in phases_selected and not quick:
         phases["presets"] = run_presets_phase(
             PRESET_FULL_SIZES if full_presets else PRESET_GATE_SIZES
@@ -664,15 +561,6 @@ def run_suite(
             f"memory: peak {phases['memory']['tracemalloc_peak_bytes']} "
             f"over bound {phases['memory']['demand_bound_bytes']}"
         )
-    if "parallel" in phases:
-        if not phases["parallel"]["prices_identical_across_workers"]:
-            failures.append("parallel: prices differ across worker counts")
-        # the 2x bar is calibrated on isp-like-2000; quick records only
-        if not quick and phases["parallel"]["speedup"] < PARALLEL_SPEEDUP_FLOOR:
-            failures.append(
-                f"parallel speedup {phases['parallel']['speedup']}x below the "
-                f"{PARALLEL_SPEEDUP_FLOOR}x floor on {phases['parallel']['preset']}"
-            )
     if "presets" in phases:
         for preset, row in phases["presets"]["rows"].items():
             if not row["within_bound"]:
@@ -683,18 +571,35 @@ def run_suite(
     return {
         "benchmark": "flat_sweep",
         "quick": quick,
+        "host": _host(),
         "phases": phases,
         "failures": failures,
         "passed": not failures,
     }
 
 
+def _host() -> Dict[str, Any]:
+    """CPU count and the Python, numpy and scipy versions of this run."""
+    versions: Dict[str, Optional[str]] = {}
+    for package in ("numpy", "scipy"):
+        try:
+            versions[package] = metadata.version(package)
+        except metadata.PackageNotFoundError:
+            versions[package] = None
+    return {
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        **versions,
+    }
+
+
 def _merge_into_existing(path: str, document: Dict[str, Any]) -> Dict[str, Any]:
     """Merge this run's phases into an existing output document.
 
-    Phases not re-run keep their previous records (so a
-    ``--phases parallel`` CI gate does not discard the committed
-    full-preset rows); ``failures``/``passed`` always describe the
+    Phases of ``ALL_PHASES`` not re-run keep their previous records (so
+    a ``--phases identity,speedup`` CI gate does not discard the
+    committed full-preset rows); a phase no longer in ``ALL_PHASES`` is
+    dropped.  ``host``, ``failures`` and ``passed`` always describe the
     current run only.
     """
     if not os.path.exists(path):
@@ -706,7 +611,11 @@ def _merge_into_existing(path: str, document: Dict[str, Any]) -> Dict[str, Any]:
         return document
     if previous.get("benchmark") != document["benchmark"]:
         return document
-    merged_phases = dict(previous.get("phases", {}))
+    merged_phases = {
+        phase: record
+        for phase, record in previous.get("phases", {}).items()
+        if phase in ALL_PHASES
+    }
     merged_phases.update(document["phases"])
     document = dict(document)
     document["phases"] = merged_phases
@@ -718,7 +627,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="smaller speedup/parallel instances, skip memory/presets phases",
+        help="smaller speedup instance, skip memory/presets phases",
     )
     parser.add_argument(
         "--phases",
@@ -765,17 +674,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"(bound {memory['demand_bound_bytes'] / 1e6:.0f} MB, dense cache "
             f"would hold {memory['dense_cache_bytes'] / 1e9:.1f} GB)"
         )
-    if "parallel" in phases:
-        par = phases["parallel"]
-        per_worker = ", ".join(
-            f"w={row['workers']}: {row['seconds']}s "
-            f"({row['speedup_vs_flat_dict']}x)"
-            for row in par["workers"]
-        )
-        print(
-            f"sharded sweep on {par['preset']}: flat dict "
-            f"{par['flat_dict_seconds']}s; {per_worker}"
-        )
     if "presets" in phases:
         for preset, row in phases["presets"]["rows"].items():
             print(
@@ -795,11 +693,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 # pytest integration: a small configuration as a tracked benchmark.
 # ----------------------------------------------------------------------
 def test_bench_flat_sweep(benchmark):
-    import numpy as np
-
     from repro.routing.allpairs import all_pairs_lcp
     from repro.routing.engines.flat import FlatSweepStats, flat_price_rows
-    from repro.routing.flatsweep import flat_price_arrays
 
     graph = isp_like_graph(96, seed=0, cost_sampler=integer_costs(1, 6))
     routes = all_pairs_lcp(graph)
@@ -812,10 +707,6 @@ def test_bench_flat_sweep(benchmark):
     # demand restriction + symmetric orientation must actually engage
     assert stats.rows < stats.solves * graph.num_nodes
     assert stats.max_block_rows < graph.num_nodes
-    # sharding must be invisible: pooled prices match inline bit for bit
-    inline = flat_price_arrays(graph, routes)
-    pooled = flat_price_arrays(graph, routes, workers=2)
-    assert np.array_equal(inline.prices, pooled.prices)
 
 
 if __name__ == "__main__":

@@ -1,11 +1,10 @@
-"""E11: engine scaling -- reference vs flat (inline and pooled), same answers.
+"""E11: engine scaling -- reference vs flat, same answers.
 
-The price-table benchmarks run the reference engine, the ``flat``
-engine, and the ``flat`` engine with a two-worker pooled sweep on the
-same n = 100 ISP-like instance and assert the results equal the
-reference engine's bit for bit (integer costs keep the flat sweep's
-reassociated sums exact), so the benchmark doubles as the differential
-harness at benchmark scale.  The assertion layer guarantees the speed
+The price-table benchmarks run the reference engine and the ``flat``
+engine on the same n = 100 ISP-like instance and assert the results
+equal the reference engine's bit for bit (integer costs keep the flat
+sweep's reassociated sums exact), so the benchmark doubles as the
+differential harness at benchmark scale.  The assertion layer guarantees the speed
 never buys different answers.
 """
 
@@ -32,11 +31,5 @@ def test_bench_prices_reference_n100(benchmark, isp100, isp100_reference_prices)
 
 def test_bench_prices_flat_n100(benchmark, isp100, isp100_reference_prices):
     engine = get_engine("flat")
-    table = benchmark.pedantic(engine.price_table, args=(isp100,), rounds=1, iterations=1)
-    assert table.rows == isp100_reference_prices.rows
-
-
-def test_bench_prices_flat_workers2_n100(benchmark, isp100, isp100_reference_prices):
-    engine = get_engine("flat", workers=2)
     table = benchmark.pedantic(engine.price_table, args=(isp100,), rounds=1, iterations=1)
     assert table.rows == isp100_reference_prices.rows

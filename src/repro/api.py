@@ -11,9 +11,7 @@ not.  One symbol per concept:
 * :func:`compute_price_table` -- the centralized Theorem 1 VCG prices
   (same keyword-only knobs, same order, same defaults).
 * :func:`get_engine` -- instantiate a computation backend from the
-  engine registry by name (``reference`` | ``flat`` | ``incremental``;
-  ``get_engine("flat", workers=4)`` shards the flat price sweep over
-  worker processes).
+  engine registry by name (``reference`` | ``flat`` | ``incremental``).
 * :func:`run` -- **the** distributed entry point: every substrate and
   scenario shape behind one call.  ``protocol=`` picks the staged
   engine (``"delta"`` incremental transport, ``"full"`` literal

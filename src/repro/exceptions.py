@@ -85,10 +85,8 @@ class EngineError(ReproError):
     """A routing/pricing engine was misused or misconfigured.
 
     Raised for unknown engine names in the
-    :mod:`repro.routing.engines` registry, for invalid worker or shard
-    counts of the flat sweep, and for sweep inputs it cannot price
-    (shards that do not partition the demand, a CSR build that dropped
-    stored zeros).
+    :mod:`repro.routing.engines` registry and for flat-sweep inputs it
+    cannot price (a CSR build that dropped stored zeros).
     """
 
 

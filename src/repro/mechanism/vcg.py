@@ -435,8 +435,7 @@ def compute_price_table(
 
     *engine* selects a registered backend by name or instance from
     :mod:`repro.routing.engines` -- ``"flat"`` runs the batched,
-    demand-restricted sweep (``get_engine("flat", workers=4)`` shards
-    it over worker processes), ``"incremental"`` warm-starts from a
+    demand-restricted sweep, ``"incremental"`` warm-starts from a
     previous graph.  The default (``None`` or ``"reference"``) is the
     serial reference loop below; every engine returns the same table
     per the differential test harness.

@@ -26,9 +26,7 @@ Engine-level metrics (the ROADMAP's production-scaling story):
 ``mechanism.price_rows`` counts price-row throughput per engine.
 The flat engine's demand-restricted sweep is accounted by
 ``routing.flat.{solves,rows,masked}`` (masked Dijkstra calls, distance
-rows computed, stored CSR entries masked in place) plus
-``routing.flat.{workers,shards}`` (the sweep's process/shard layout;
-1/1 inline, the pool geometry under ``workers > 1``).  Its canonical
+rows computed, stored CSR entries masked in place).  Its canonical
 route build is accounted by
 ``routing.forest.{blocks,fallbacks}`` (batched scipy solves, and
 destinations whose ties forced the exact reference kernel).
@@ -77,10 +75,6 @@ ROUTE_TREES = "routing.route_trees"
 FLAT_SOLVES = "routing.flat.solves"
 FLAT_ROWS = "routing.flat.rows"
 FLAT_MASKED = "routing.flat.masked"
-# workers/shards: the sweep's process/shard layout (1/1 inline; the
-# shared-memory pool geometry under FlatEngine(workers > 1)).
-FLAT_WORKERS = "routing.flat.workers"
-FLAT_SHARDS = "routing.flat.shards"
 
 # -- canonical forest build (the flat engine's all_pairs) ---------------
 # blocks: batched scipy distance solves; fallbacks: destinations whose

@@ -119,13 +119,10 @@ class TraceSummary:
     #: all (an all-miss cold run still reports zeros in the summary).
     cache_seen: bool = False
     #: ``routing.flat.*`` totals (the flat engine's sweep): masked
-    #: Dijkstra solves, distance rows computed, stored entries masked,
-    #: and the sweep's worker/shard layout.
+    #: Dijkstra solves, distance rows computed, stored entries masked.
     flat_solves: int = 0
     flat_rows: int = 0
     flat_masked: int = 0
-    flat_workers: int = 0
-    flat_shards: int = 0
     #: whether the trace recorded the flat sweep at all.
     flat_seen: bool = False
     #: ``routing.forest.*`` totals (the flat engine's canonical route
@@ -238,8 +235,6 @@ def summarize_events(events: Iterable[Mapping[str, Any]]) -> TraceSummary:
     summary.flat_solves = int(summary.counter_total(names.FLAT_SOLVES))
     summary.flat_rows = int(summary.counter_total(names.FLAT_ROWS))
     summary.flat_masked = int(summary.counter_total(names.FLAT_MASKED))
-    summary.flat_workers = int(summary.counter_total(names.FLAT_WORKERS))
-    summary.flat_shards = int(summary.counter_total(names.FLAT_SHARDS))
     summary.flat_seen = any(
         name.startswith("routing.flat.") for name, _labels in summary.counters
     )
@@ -316,8 +311,6 @@ def summary_tables(summary: TraceSummary, title: Optional[str] = None) -> List[A
         measures.add_row("flat sweep Dijkstra solves", summary.flat_solves)
         measures.add_row("flat sweep distance rows", summary.flat_rows)
         measures.add_row("flat sweep entries masked", summary.flat_masked)
-        measures.add_row("flat sweep workers", summary.flat_workers)
-        measures.add_row("flat sweep shards", summary.flat_shards)
     if summary.forest_seen:
         measures.add_row("canonical forest blocks", summary.forest_blocks)
         measures.add_row("canonical forest fallbacks (ties)", summary.forest_fallbacks)

@@ -8,8 +8,7 @@ under a stable name:
 name        backend
 =========== =============================================================
 reference   serial pure Python (semantics-defining)
-flat        canonical forest + flat-CSR price sweep (``workers=`` shards
-            the sweep over a shared-memory process pool)
+flat        canonical forest + flat-CSR price sweep
 incremental epoch-cached warm-start (stateful)
 =========== =============================================================
 
@@ -28,7 +27,7 @@ contract, not just a lookup convenience.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Tuple, Type, Union, cast
+from typing import Dict, List, Tuple, Type, Union
 
 from repro.exceptions import EngineError
 from repro.routing.engines.base import CostMatrix, Engine
@@ -81,19 +80,14 @@ def engine_classes() -> List[Type[Engine]]:
     return [_REGISTRY[name] for name in engine_names()]
 
 
-def get_engine(name: str, **options: Any) -> Engine:
-    """Instantiate a registered engine by name.
-
-    *options* are forwarded to the engine constructor (e.g.
-    ``get_engine("flat", workers=2)``).
-    """
+def get_engine(name: str) -> Engine:
+    """Instantiate a registered engine by name."""
     try:
         engine_class = _REGISTRY[name]
     except KeyError:
         known = ", ".join(engine_names())
         raise EngineError(f"unknown engine {name!r}; registered: {known}") from None
-    factory = cast(Callable[..., Engine], engine_class)
-    return factory(**options)
+    return engine_class()
 
 
 def resolve_engine(engine: EngineSpec) -> Engine:

@@ -45,32 +45,17 @@ thousand:
    the first one wins, so differential tests see identical error
    classes and messages.
 
-The sweep itself lives in :mod:`repro.routing.flatsweep`.  Its
-per-transit-node groups are independent -- each masks its own ``G - k``
-and prices its own demand slice -- so ``FlatEngine(workers=w)`` with
-``w > 1`` shards them round-robin over a forked pool of ``w``
-processes (``4 * w`` shards, to balance the skewed per-``k`` demand of
-ISP-like cores).  The CSR reduction, the pre-gathered demand columns
-and the output price array live in ``multiprocessing.shared_memory``
-segments; workers attach zero-copy, keep a *private* scratch copy of
-the one array masking mutates (the edge-weight column), and write
-their groups' prices into disjoint slices of the shared output.  Each
-entry's slice position encodes the reference scan order and the
-globally minimal-sequence violation is raised, so tables *and* errors
-are bit-identical for every worker count and shard order
-(``tests/test_flat_parallel.py`` pins this).  The default
-``workers=1`` prices inline as one shard, with no pool and no shared
-memory.
+The sweep itself lives in :mod:`repro.routing.flatsweep`; it prices
+the per-transit-node groups one after another in this process.
 
 Observability: an observed run counts ``routing.flat.solves`` (masked
 Dijkstra calls, one per distinct transit node), ``routing.flat.rows``
-(distance rows actually computed -- the demand-restriction win),
+(distance rows actually computed -- the demand-restriction win) and
 ``routing.flat.masked`` (stored entries masked across all solves), and
-``routing.flat.workers`` / ``routing.flat.shards`` (the sweep's
-process/shard layout; 1/1 inline), and its route build counts
-``routing.forest.blocks`` (batched scipy solves) and
-``routing.forest.fallbacks`` (destinations whose ties forced the
-reference kernel), alongside the standard engine span/counter surface.
+its route build counts ``routing.forest.blocks`` (batched scipy
+solves) and ``routing.forest.fallbacks`` (destinations whose ties
+forced the reference kernel), alongside the standard engine
+span/counter surface.
 """
 
 from __future__ import annotations
@@ -79,15 +64,10 @@ from typing import TYPE_CHECKING, ClassVar, Dict, Optional, Tuple
 
 import repro.obs as obs_mod
 from repro.devtools import sanitize
-from repro.exceptions import EngineError
 from repro.graphs.asgraph import ASGraph
 from repro.obs import names as metric_names
 from repro.routing.engines.base import Engine
-from repro.routing.flatsweep import (
-    _NEGATIVE_PRICE_EPS,  # noqa: F401  (re-export: tests pin the literal)
-    FlatSweepStats,
-    flat_price_arrays,
-)
+from repro.routing.flatsweep import FlatSweepStats, flat_price_arrays
 from repro.routing.forest import ForestStats, canonical_routes
 from repro.types import NodeId
 
@@ -96,10 +76,6 @@ if TYPE_CHECKING:  # pragma: no cover - import-light at runtime
     from repro.routing.allpairs import AllPairsRoutes
 
 __all__ = ["FlatEngine", "FlatSweepStats", "flat_price_rows"]
-
-#: Transit-node shards per worker on the pooled sweep: finer shards
-#: balance skewed per-``k`` demand at slightly higher dispatch cost.
-_SHARDS_PER_WORKER = 4
 
 
 def flat_price_rows(
@@ -122,23 +98,9 @@ def flat_price_rows(
 
 
 class FlatEngine(Engine):
-    """Flat-CSR path engine for large price tables.
-
-    Parameters
-    ----------
-    workers:
-        Sweep processes.  ``1`` (the default) prices inline as one
-        shard; ``workers > 1`` runs the shared-memory pooled sweep over
-        ``4 * workers`` transit-node shards.  The output is identical
-        by construction and by property test.
-    """
+    """Flat-CSR path engine for large price tables."""
 
     name: ClassVar[str] = "flat"
-
-    def __init__(self, workers: int = 1) -> None:
-        if workers < 1:
-            raise EngineError(f"worker count must be >= 1, got {workers}")
-        self.workers = workers
 
     # The forest build and the flat sweep produce their own counters, so
     # this engine manages the observer explicitly (same signatures as
@@ -179,8 +141,6 @@ class FlatEngine(Engine):
         observer.count(metric_names.FLAT_SOLVES, stats.solves, engine=self.name)
         observer.count(metric_names.FLAT_ROWS, stats.rows, engine=self.name)
         observer.count(metric_names.FLAT_MASKED, stats.masked, engine=self.name)
-        observer.count(metric_names.FLAT_WORKERS, stats.workers, engine=self.name)
-        observer.count(metric_names.FLAT_SHARDS, stats.shards, engine=self.name)
         return table
 
     def _build_table(
@@ -197,10 +157,7 @@ class FlatEngine(Engine):
         # them exactly as it checks any other engine's.
         if routes is None:
             routes = all_pairs_lcp(graph, engine=self, obs=obs)
-        shards = self.workers * _SHARDS_PER_WORKER if self.workers > 1 else 1
-        arrays = flat_price_arrays(
-            graph, routes, workers=self.workers, shards=shards, stats=stats
-        )
+        arrays = flat_price_arrays(graph, routes, stats=stats)
         table = PriceTable.from_arrays(routes, arrays)
         if sanitize.enabled():
             sanitize.check_price_table(graph, table)

@@ -1,8 +1,7 @@
-"""Vectorized demand inversion + shardable flat price sweep.
+"""Vectorized demand inversion + the flat price sweep.
 
-This module is the core of the ``flat`` engine, inline and pooled
-(``FlatEngine(workers=...)``).  It owns the three scaling moves that
-take the Theorem 1 price sweep past n = 10,000:
+This module is the core of the ``flat`` engine.  It owns the two
+moves that take the Theorem 1 price sweep past n = 10,000:
 
 1. **Vectorized inversion.**  The canonical routes -- given as
    :class:`~repro.routing.allpairs.AllPairsRoutes`, or read straight
@@ -21,57 +20,27 @@ take the Theorem 1 price sweep past n = 10,000:
    transit node once, and the per-pair source/destination/LCP columns
    are gathered into that order once -- each transit node's work is
    then a pair of contiguous array slices, with no per-group fancy
-   indexing on the hot path.  Prices land in a flat array
+   indexing on the hot path.  :func:`sweep_demand` prices the groups
+   one after another, one masked Dijkstra each, and raises the
+   minimal-sequence violation across all groups with the reference
+   error class and message.  Prices land in a flat array
    (:class:`FlatPriceArrays`) whose columns are, as they are, the
    :class:`~repro.mechanism.vcg.PriceTable` every engine returns;
    nothing per-entry touches a Python dict.  The dict-of-dicts
    :meth:`FlatPriceArrays.to_rows` is no engine's path: it backs
    :func:`repro.routing.engines.flat.flat_price_rows`, a dict helper
    for tests and benchmarks.
-
-3. **Sharded execution over shared memory.**  The per-transit-node
-   groups are independent, so :func:`sweep_demand` can run them on a
-   process pool: the CSR arrays, the sorted demand columns, and the
-   output price array live in ``multiprocessing.shared_memory``
-   segments (zero copies per worker); each worker makes a *private*
-   scratch copy of the edge-weight column -- the only array masking
-   mutates -- and writes its groups' prices into disjoint slices of the
-   shared output.  The merge is order-insensitive: per-shard results
-   are aggregated deterministically and the globally minimal-sequence
-   violation is raised with the exact reference error class and
-   message, so output is invariant to worker count and shard order.
-   Segments are unlinked in a ``finally`` block and backstopped by an
-   ``atexit`` hook, so interrupted runs do not leak ``/dev/shm``
-   entries.
 """
 
 from __future__ import annotations
 
-import atexit
-import itertools
-import multiprocessing
-import os
 from dataclasses import dataclass, field
-from multiprocessing import resource_tracker, shared_memory
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
-from repro.exceptions import (
-    EngineError,
-    MechanismError,
-    NotBiconnectedError,
-)
+from repro.exceptions import MechanismError, NotBiconnectedError
 from repro.graphs.asgraph import ASGraph
 from repro.routing.flatgraph import FlatGraph, build_flat_graph
 from repro.routing.forest import canonical_forest, densify_tree
@@ -88,8 +57,6 @@ __all__ = [
     "canonical_demand",
     "demand_from_routes",
     "flat_price_arrays",
-    "flat_sweep_sharded",
-    "shard_transit_nodes",
     "sweep_demand",
 ]
 
@@ -110,11 +77,9 @@ class FlatSweepStats:
     node), ``rows`` the distance rows computed across them (the
     demand-restriction + orientation win: without either it would be
     ``solves * n``), ``masked`` the stored entries masked in place,
-    ``entries`` the demanded ``(i, j, k)`` price evaluations,
+    ``entries`` the demanded ``(i, j, k)`` price evaluations, and
     ``max_block_rows`` the largest single distance block held alive --
-    the peak-memory driver, bounded by ``max_k |sources_k|`` -- and
-    ``workers`` / ``shards`` the process/shard layout the sweep ran
-    with (both 1 for the inline single-process path).
+    the peak-memory driver, bounded by ``max_k |sources_k|``.
     """
 
     solves: int = 0
@@ -122,8 +87,6 @@ class FlatSweepStats:
     masked: int = 0
     entries: int = 0
     max_block_rows: int = 0
-    workers: int = 1
-    shards: int = 1
 
 
 @dataclass
@@ -174,10 +137,6 @@ class FlatDemand:
     @property
     def num_groups(self) -> int:
         return int(self.group_k.shape[0])
-
-    def transit_nodes(self) -> Tuple[NodeId, ...]:
-        """The demanded transit nodes as node ids, ascending."""
-        return tuple(self.flat.node_ids[self.group_k].tolist())
 
 
 @dataclass
@@ -435,10 +394,10 @@ def _concat(parts: List[np.ndarray], dtype: type) -> np.ndarray:
 # Group evaluation: one masked Dijkstra per transit node.
 # ----------------------------------------------------------------------
 
-#: A violation candidate in parent coordinates: (global sequence, kind
-#: [0 = infinite detour, 1 = negative price], dense k, dense source,
-#: dense destination, price).  The minimum sequence across all groups
-#: is the witness the reference sweep would raise first.
+#: A violation candidate: (global sequence, kind [0 = infinite detour,
+#: 1 = negative price], dense k, dense source, dense destination,
+#: price).  The minimum sequence across all groups is the witness the
+#: reference sweep would raise first.
 _Violation = Tuple[int, int, int, int, int, float]
 
 
@@ -522,367 +481,49 @@ def _raise_reference_error(flat: FlatGraph, violation: _Violation) -> None:
     )
 
 
-# ----------------------------------------------------------------------
-# Shared-memory plumbing.
-# ----------------------------------------------------------------------
-
-#: (segment name, shape, dtype string) -- enough to re-map an array.
-_ArraySpec = Tuple[str, Tuple[int, ...], str]
-
-#: Arenas not yet destroyed; the atexit hook unlinks whatever an
-#: interrupted run left behind so /dev/shm never accumulates segments.
-_LIVE_ARENAS: List["_SweepArena"] = []
-_ARENA_SEQUENCE = itertools.count()
-_ATEXIT_ARMED = False
-
-
-def _unlink_leftover_arenas() -> None:  # pragma: no cover - interpreter exit
-    for arena in list(_LIVE_ARENAS):
-        arena.destroy()
-
-
-class _SweepArena:
-    """All shared-memory segments of one sharded sweep.
-
-    Created segments carry a recognizable ``repro-flat-<pid>-*`` name
-    (tests assert no leftovers).  :meth:`destroy` closes and unlinks
-    every segment exactly once and is called from the sweep's
-    ``finally`` block; a module-level ``atexit`` hook destroys any
-    arena still alive at interpreter exit (e.g. after a KeyboardInterrupt
-    between creation and the ``try``).
-    """
-
-    def __init__(self) -> None:
-        global _ATEXIT_ARMED
-        self._segments: List[shared_memory.SharedMemory] = []
-        self._views: List[np.ndarray] = []
-        self._destroyed = False
-        _LIVE_ARENAS.append(self)
-        if not _ATEXIT_ARMED:
-            atexit.register(_unlink_leftover_arenas)
-            _ATEXIT_ARMED = True
-
-    def _create(self, nbytes: int) -> shared_memory.SharedMemory:
-        while True:
-            name = f"repro-flat-{os.getpid()}-{next(_ARENA_SEQUENCE)}"
-            try:
-                return shared_memory.SharedMemory(
-                    name=name, create=True, size=max(1, nbytes)
-                )
-            except FileExistsError:  # stale segment from a dead pid
-                continue
-
-    def share(self, array: np.ndarray) -> Tuple[_ArraySpec, np.ndarray]:
-        """Copy *array* into a fresh segment; returns (spec, live view)."""
-        segment = self._create(array.nbytes)
-        view: np.ndarray = np.ndarray(
-            array.shape, dtype=array.dtype, buffer=segment.buf
-        )
-        view[...] = array
-        self._segments.append(segment)
-        self._views.append(view)
-        return (segment.name, array.shape, str(array.dtype)), view
-
-    def destroy(self) -> None:
-        if self._destroyed:
-            return
-        self._destroyed = True
-        # Views must drop their buffer references before close().
-        self._views.clear()
-        for segment in self._segments:
-            segment.close()
-            try:
-                segment.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
-        self._segments.clear()
-        if self in _LIVE_ARENAS:
-            _LIVE_ARENAS.remove(self)
-
-
-@dataclass
-class _WorkerState:
-    """Per-worker view of the shared sweep (rebuilt by the initializer)."""
-
-    flat: FlatGraph
-    src_by_k: np.ndarray
-    dst_by_k: np.ndarray
-    lcp_by_k: np.ndarray
-    order: np.ndarray
-    prices_by_k: np.ndarray
-    group_k: np.ndarray
-    group_ptr: np.ndarray
-    segments: List[shared_memory.SharedMemory]
-
-
-_WORKER_STATE: Optional[_WorkerState] = None
-
-
-def _suppress_registration(name: str, rtype: str) -> None:
-    """Stand-in for ``resource_tracker.register`` during worker attach."""
-
-
-def _attach(
-    spec: _ArraySpec, segments: List[shared_memory.SharedMemory]
-) -> np.ndarray:
-    name, shape, dtype = spec
-    # On this interpreter line, attaching would register the segment
-    # with the (process-shared) resource tracker as if this worker
-    # owned it; paired with the parent's unlink that double-books the
-    # name and the tracker logs spurious KeyErrors.  ``track=False``
-    # only exists on newer interpreters, so suppress the registration
-    # call for the duration of the attach instead -- the parent remains
-    # the sole registered owner and unlinks exactly once.
-    register = resource_tracker.register
-    resource_tracker.register = _suppress_registration
-    try:
-        segment = shared_memory.SharedMemory(name=name, create=False)
-    finally:
-        resource_tracker.register = register
-    segments.append(segment)
-    return np.ndarray(shape, dtype=np.dtype(dtype), buffer=segment.buf)
-
-
-def _init_sweep_worker(payload: Dict[str, object]) -> None:
-    """Pool initializer: map the shared arrays, copy the mask scratch.
-
-    Everything is attached zero-copy except ``weights`` -- the one
-    array :meth:`FlatGraph.masked` mutates -- which each worker copies
-    into private memory so concurrent maskings cannot interleave.
-    """
-    global _WORKER_STATE
-    segments: List[shared_memory.SharedMemory] = []
-    specs = payload["specs"]
-    assert isinstance(specs, dict)
-    arrays = {key: _attach(spec, segments) for key, spec in specs.items()}
-    flat = FlatGraph(
-        node_ids=arrays["node_ids"],
-        index={},  # masking and evaluation never consult the id map
-        costs=arrays["costs"],
-        indptr=arrays["indptr"],
-        indices=arrays["indices"],
-        weights=arrays["weights"].copy(),
-        in_ptr=arrays["in_ptr"],
-        in_positions=arrays["in_positions"],
-    )
-    _WORKER_STATE = _WorkerState(
-        flat=flat,
-        src_by_k=arrays["src_by_k"],
-        dst_by_k=arrays["dst_by_k"],
-        lcp_by_k=arrays["lcp_by_k"],
-        order=arrays["order"],
-        prices_by_k=arrays["prices_by_k"],
-        group_k=payload["group_k"],  # type: ignore[assignment]
-        group_ptr=payload["group_ptr"],  # type: ignore[assignment]
-        segments=segments,
-    )
-
-
-def _sweep_shard_worker(
-    groups: Tuple[int, ...],
-) -> Tuple[Tuple[int, int, int, int], Optional[_Violation]]:
-    """Price one shard's groups into the shared output array.
-
-    Groups write disjoint ``group_ptr`` slices of the shared price
-    array, so no synchronization is needed; the returned stats tuple
-    and minimal-sequence violation are merged deterministically in the
-    parent.
-    """
-    state = _WORKER_STATE
-    if state is None:  # pragma: no cover - initializer always runs
-        raise EngineError(
-            "sweep worker has no shared state; pool initializer did not run"
-        )
-    stats = FlatSweepStats()
-    best: Optional[_Violation] = None
-    for group in groups:
-        start = int(state.group_ptr[group])
-        stop = int(state.group_ptr[group + 1])
-        dense_k = int(state.group_k[group])
-        prices, bad = _evaluate_group(
-            state.flat,
-            dense_k,
-            state.src_by_k[start:stop],
-            state.dst_by_k[start:stop],
-            state.lcp_by_k[start:stop],
-            stats,
-        )
-        state.prices_by_k[start:stop] = prices
-        if bad is not None:
-            at, kind, price = bad
-            candidate: _Violation = (
-                int(state.order[start + at]),
-                kind,
-                dense_k,
-                int(state.src_by_k[start + at]),
-                int(state.dst_by_k[start + at]),
-                price,
-            )
-            if best is None or candidate[0] < best[0]:
-                best = candidate
-    return (stats.solves, stats.rows, stats.masked, stats.max_block_rows), best
-
-
-# ----------------------------------------------------------------------
-# The sweep: inline or sharded over a pool.
-# ----------------------------------------------------------------------
-
-
-def shard_transit_nodes(
-    transit: Sequence[NodeId],
-    shards: int,
-) -> List[Tuple[NodeId, ...]]:
-    """Partition the demanded *transit* nodes round-robin into at most
-    *shards* shards.
-
-    Round-robin keeps shards balanced when per-``k`` demand is skewed
-    (core nodes of ISP-like topologies carry most transit), and the
-    merge is order-invariant, so any partition yields the same sweep
-    output -- this one is just a good default.
-    """
-    if shards < 1:
-        raise EngineError(f"shard count must be >= 1, got {shards}")
-    shards = min(shards, len(transit)) or 1
-    return [tuple(transit[i::shards]) for i in range(shards)]
-
-
-def _merge_shard_results(
-    results: Sequence[Tuple[Tuple[int, int, int, int], Optional[_Violation]]],
-    stats: FlatSweepStats,
-) -> Optional[_Violation]:
-    """Fold per-shard stats and surface the minimal-sequence violation.
-
-    Addition and ``min``-by-sequence are order-insensitive, so the
-    merged accounting and the raised witness are invariant to worker
-    count and shard order.
-    """
-    best: Optional[_Violation] = None
-    for (solves, rows, masked, max_block_rows), violation in results:
-        stats.solves += solves
-        stats.rows += rows
-        stats.masked += masked
-        stats.max_block_rows = max(stats.max_block_rows, max_block_rows)
-        if violation is not None and (best is None or violation[0] < best[0]):
-            best = violation
-    return best
-
-
-def _sweep_inline(
-    demand: FlatDemand,
-    shard_lists: Sequence[Sequence[int]],
-    stats: FlatSweepStats,
-) -> Tuple[np.ndarray, Optional[_Violation]]:
-    """Single-process sweep directly over the demand arrays."""
-    prices_by_k = np.empty(demand.num_entries, dtype=np.float64)
-    best: Optional[_Violation] = None
-    for shard in shard_lists:
-        for group in shard:
-            start = int(demand.group_ptr[group])
-            stop = int(demand.group_ptr[group + 1])
-            dense_k = int(demand.group_k[group])
-            prices, bad = _evaluate_group(
-                demand.flat,
-                dense_k,
-                demand.src_by_k[start:stop],
-                demand.dst_by_k[start:stop],
-                demand.lcp_by_k[start:stop],
-                stats,
-            )
-            prices_by_k[start:stop] = prices
-            if bad is not None:
-                at, kind, price = bad
-                candidate: _Violation = (
-                    int(demand.order[start + at]),
-                    kind,
-                    dense_k,
-                    int(demand.src_by_k[start + at]),
-                    int(demand.dst_by_k[start + at]),
-                    price,
-                )
-                if best is None or candidate[0] < best[0]:
-                    best = candidate
-    return prices_by_k, best
-
-
-def _sweep_pooled(
-    demand: FlatDemand,
-    shard_lists: Sequence[Sequence[int]],
-    workers: int,
-    stats: FlatSweepStats,
-) -> Tuple[np.ndarray, Optional[_Violation]]:
-    """Sharded sweep over a process pool with shared-memory arrays."""
-    flat = demand.flat
-    arena = _SweepArena()
-    try:
-        shared: Dict[str, _ArraySpec] = {}
-        for key, array in (
-            ("node_ids", flat.node_ids),
-            ("costs", flat.costs),
-            ("indptr", flat.indptr),
-            ("indices", flat.indices),
-            ("weights", flat.weights),
-            ("in_ptr", flat.in_ptr),
-            ("in_positions", flat.in_positions),
-            ("src_by_k", demand.src_by_k),
-            ("dst_by_k", demand.dst_by_k),
-            ("lcp_by_k", demand.lcp_by_k),
-            ("order", demand.order),
-        ):
-            shared[key], _view = arena.share(array)
-        prices_spec, prices_view = arena.share(
-            np.empty(demand.num_entries, dtype=np.float64)
-        )
-        shared["prices_by_k"] = prices_spec
-        payload = {
-            "specs": shared,
-            "group_k": demand.group_k,
-            "group_ptr": demand.group_ptr,
-        }
-        context = multiprocessing.get_context(
-            "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-        )
-        tasks = [tuple(int(group) for group in shard) for shard in shard_lists]
-        with context.Pool(
-            processes=workers,
-            initializer=_init_sweep_worker,
-            initargs=(payload,),
-        ) as pool:
-            results = pool.map(_sweep_shard_worker, tasks)
-        violation = _merge_shard_results(results, stats)
-        return np.array(prices_view, copy=True), violation
-    finally:
-        arena.destroy()
-
-
 def sweep_demand(
     demand: FlatDemand,
     *,
-    workers: int = 1,
-    shard_lists: Optional[Sequence[Sequence[int]]] = None,
     stats: Optional[FlatSweepStats] = None,
 ) -> FlatPriceArrays:
     """Run the avoiding sweep over *demand*; returns the priced arrays.
 
-    *shard_lists* are sequences of group indices (positions into
-    ``demand.group_k``); ``None`` means one shard holding every group.
-    ``workers <= 1`` -- or a single shard -- prices inline with no pool
-    and no shared memory; otherwise the shards run on *workers*
-    processes over shared-memory arrays.  Output, accounting, and the
-    raised violation (if any) are identical either way.
+    One masked Dijkstra per transit group, every group in turn.  A
+    group reports its first violating entry; after the loop the
+    candidate with the smallest sequence number -- the one the
+    reference sweep meets first -- is raised with the reference's
+    error class and message.
     """
     stats = stats if stats is not None else FlatSweepStats()
     stats.entries = demand.num_entries
-    if shard_lists is None:
-        shard_lists = [range(demand.num_groups)]
-    stats.shards = len(shard_lists)
-    stats.workers = 1
-    if workers <= 1 or len(shard_lists) <= 1:
-        prices_by_k, violation = _sweep_inline(demand, shard_lists, stats)
-    else:
-        stats.workers = workers
-        prices_by_k, violation = _sweep_pooled(demand, shard_lists, workers, stats)
-    if violation is not None:
-        _raise_reference_error(demand.flat, violation)
+    group_ptr = demand.group_ptr.tolist()
+    prices_by_k = np.empty(demand.num_entries, dtype=np.float64)
+    best: Optional[_Violation] = None
+    for group, dense_k in enumerate(demand.group_k.tolist()):
+        start, stop = group_ptr[group], group_ptr[group + 1]
+        prices, bad = _evaluate_group(
+            demand.flat,
+            dense_k,
+            demand.src_by_k[start:stop],
+            demand.dst_by_k[start:stop],
+            demand.lcp_by_k[start:stop],
+            stats,
+        )
+        prices_by_k[start:stop] = prices
+        if bad is not None:
+            at, kind, price = bad
+            candidate: _Violation = (
+                int(demand.order[start + at]),
+                kind,
+                dense_k,
+                int(demand.src_by_k[start + at]),
+                int(demand.dst_by_k[start + at]),
+                price,
+            )
+            if best is None or candidate[0] < best[0]:
+                best = candidate
+    if best is not None:
+        _raise_reference_error(demand.flat, best)
     prices = np.empty(demand.num_entries, dtype=np.float64)
     prices[demand.order] = prices_by_k
     return FlatPriceArrays(
@@ -897,19 +538,10 @@ def sweep_demand(
     )
 
 
-def _group_shards_round_robin(
-    demand: FlatDemand, shards: int
-) -> List[Sequence[int]]:
-    count = min(max(shards, 1), demand.num_groups) or 1
-    return [range(i, demand.num_groups, count) for i in range(count)]
-
-
 def flat_price_arrays(
     graph: ASGraph,
     routes: Optional["AllPairsRoutes"] = None,
     *,
-    workers: int = 1,
-    shards: Optional[int] = None,
     stats: Optional[FlatSweepStats] = None,
 ) -> FlatPriceArrays:
     """Theorem 1 prices as flat arrays: demand inversion + sweep.
@@ -917,9 +549,8 @@ def flat_price_arrays(
     The end-to-end array-native path: the canonical routes are inverted
     into demand -- from *routes* with :func:`demand_from_routes`, or,
     when none are given, straight from the canonical forest with
-    :func:`canonical_demand` -- and swept with *workers* processes over
-    ``min(shards, groups)`` round-robin shards (*shards* defaults to
-    *workers*).  The result prices exactly the pairs
+    :func:`canonical_demand` -- and priced by :func:`sweep_demand`.
+    The result prices exactly the pairs
     :func:`repro.routing.engines.flat.flat_price_rows` would, without
     materializing any per-entry Python structure, in the layout of
     :class:`~repro.mechanism.vcg.PriceTable`.
@@ -928,46 +559,4 @@ def flat_price_arrays(
         demand = canonical_demand(graph)
     else:
         demand = demand_from_routes(graph, routes)
-    shard_lists = _group_shards_round_robin(
-        demand, shards if shards is not None else workers
-    )
-    return sweep_demand(
-        demand, workers=workers, shard_lists=shard_lists, stats=stats
-    )
-
-
-def flat_sweep_sharded(
-    graph: ASGraph,
-    shards: Sequence[Tuple[NodeId, ...]],
-    workers: int = 1,
-    routes: Optional["AllPairsRoutes"] = None,
-    *,
-    stats: Optional[FlatSweepStats] = None,
-) -> FlatPriceArrays:
-    """The sweep over an explicit transit-node partition; exposed so the
-    property tests can permute sharding.
-
-    *shards* must partition the demanded transit set exactly (compare
-    :func:`shard_transit_nodes`, which builds the default partition);
-    any partition, in any order, yields bit-identical priced arrays and
-    the same error behavior.
-    """
-    if routes is None:
-        demand = canonical_demand(graph)
-    else:
-        demand = demand_from_routes(graph, routes)
-    demanded = demand.transit_nodes()
-    sharded = [node for shard in shards for node in shard]
-    if sorted(sharded) != sorted(demanded):
-        raise EngineError(
-            "transit shards must partition the demanded transit set "
-            f"exactly; got {sorted(sharded)} for transit nodes "
-            f"{sorted(demanded)}"
-        )
-    group_of = {node: position for position, node in enumerate(demanded)}
-    shard_lists: List[Sequence[int]] = [
-        [group_of[node] for node in shard] for shard in shards
-    ]
-    return sweep_demand(
-        demand, workers=workers, shard_lists=shard_lists, stats=stats
-    )
+    return sweep_demand(demand, stats=stats)

@@ -54,7 +54,5 @@ class TestQuickstart:
     def test_engine_accepts_name_and_instance(self):
         graph = api.fig1_graph()
         by_name = api.compute_price_table(graph, engine="flat")
-        by_instance = api.compute_price_table(
-            graph, engine=api.get_engine("flat", workers=2)
-        )
+        by_instance = api.compute_price_table(graph, engine=api.get_engine("flat"))
         assert by_name.rows == by_instance.rows

@@ -131,10 +131,9 @@ class TestForestMatchesReference:
             )
             assert outcome == expected
 
-    @pytest.mark.parametrize("workers", [1, 2], ids=["flat", "flat-parallel"])
-    def test_engines_return_builder_routes(self, workers):
+    def test_engines_return_builder_routes(self):
         graph = isp_like_graph(40, seed=7, cost_sampler=integer_costs(0, 6))
-        routes = FlatEngine(workers=workers).all_pairs(graph)
+        routes = FlatEngine().all_pairs(graph)
         assert _routes_state(routes) == _routes_state(all_pairs_lcp(graph))
 
     def test_single_node(self):

@@ -48,20 +48,11 @@ from repro.graphs.generators import (
 from repro.mechanism.vcg import compute_price_table
 from repro.routing import flatsweep
 from repro.routing.avoiding import avoiding_costs_for_destination
-from repro.routing.engines import Engine, engine_names, get_engine
+from repro.routing.engines import engine_names, get_engine
 from repro.types import costs_close
 
-#: Every engine configuration under test, by id.  ``flat-parallel`` is
-#: the flat engine with two workers, so the pooled shared-memory sweep
-#: (and its merge path) runs in real worker processes regardless of
-#: host core count.
-CONFIGS = {name: (name, {}) for name in engine_names()}
-CONFIGS["flat-parallel"] = ("flat", {"workers": 2})
-
-
-def _engine(config: str) -> Engine:
-    name, options = CONFIGS[config]
-    return get_engine(name, **options)
+#: Every registered engine, by name.
+ENGINES = engine_names()
 
 
 GRAPHS = {
@@ -95,7 +86,7 @@ GRAPHS = {
 def instance(request):
     """One seeded test topology plus the reference engine's answers."""
     graph = GRAPHS[request.param]()
-    reference = _engine("reference")
+    reference = get_engine("reference")
     return (
         graph,
         reference.all_pairs(graph),
@@ -104,17 +95,17 @@ def instance(request):
     )
 
 
-@pytest.mark.parametrize("name", sorted(set(CONFIGS) - {"reference"}))
+@pytest.mark.parametrize("name", sorted(set(ENGINES) - {"reference"}))
 class TestAgainstReference:
     def test_costs_agree(self, instance, name):
         graph, _routes, reference_costs, _table = instance
-        candidate = _engine(name).cost_matrix(graph)
+        candidate = get_engine(name).cost_matrix(graph)
         assert candidate.index == reference_costs.index
         assert np.array_equal(candidate.matrix, reference_costs.matrix), name
 
     def test_prices_agree(self, instance, name):
         graph, _routes, _costs, reference_table = instance
-        candidate = _engine(name).price_table(graph)
+        candidate = get_engine(name).price_table(graph)
         assert set(candidate.rows) == set(reference_table.rows)
         for pair in sorted(reference_table.rows):
             ref_row = reference_table.rows[pair]
@@ -127,14 +118,14 @@ class TestAgainstReference:
 
     def test_paths_agree_exactly(self, instance, name):
         graph, reference_routes, _costs, _table = instance
-        candidate = _engine(name).all_pairs(graph)
+        candidate = get_engine(name).all_pairs(graph)
         assert candidate.paths == reference_routes.paths
 
     def test_path_engine_costs_bit_identical(self, instance, name):
         """Every engine runs the identical accumulation, so its route
         costs must be *bit-for-bit* the reference values, and on these
         integer-cost fixtures so must its prices."""
-        engine = _engine(name)
+        engine = get_engine(name)
         graph, reference_routes, _costs, reference_table = instance
         routes = engine.all_pairs(graph)
         for (i, j) in reference_routes.paths:
@@ -146,7 +137,7 @@ def test_pairwise_price_keys_identical(instance):
     """All engines store exactly the same (pair, transit node) keys:
     which entries exist is tie-break semantics, not arithmetic."""
     graph, _routes, _costs, _table = instance
-    tables = {name: _engine(name).price_table(graph) for name in CONFIGS}
+    tables = {name: get_engine(name).price_table(graph) for name in ENGINES}
     names = sorted(tables)
     for left, right in zip(names, names[1:]):
         assert set(tables[left].rows) == set(tables[right].rows)
@@ -170,12 +161,12 @@ def _error(call):
 
 
 @pytest.mark.parametrize("method", ["all_pairs", "price_table", "cost_matrix"])
-@pytest.mark.parametrize("name", sorted(set(CONFIGS) - {"reference"}))
+@pytest.mark.parametrize("name", sorted(set(ENGINES) - {"reference"}))
 def test_disconnected_error_matches_reference(name, method):
     graph = _disconnected()
-    expected = _error(lambda: getattr(_engine("reference"), method)(graph))
+    expected = _error(lambda: getattr(get_engine("reference"), method)(graph))
     assert expected == (DisconnectedGraphError, "nodes [2, 3] cannot reach 0")
-    assert _error(lambda: getattr(_engine(name), method)(graph)) == expected
+    assert _error(lambda: getattr(get_engine(name), method)(graph)) == expected
 
 
 # ----------------------------------------------------------------------
@@ -286,22 +277,22 @@ def _assert_accessors_match(graph, table, frozen):
         assert table.rows != changed
 
 
-@pytest.mark.parametrize("name", sorted(CONFIGS))
+@pytest.mark.parametrize("name", ENGINES)
 def test_accessors_bit_identical_to_dict_table(instance, name):
     """Every accessor of every engine's table reads the same values, in
     the same order and of the same types, as the dict-of-dicts table
     (integer costs: every engine's prices are bit-identical)."""
     graph, routes, _costs, _table = instance
     frozen = _DictTable(_dict_rows(graph, routes))
-    _assert_accessors_match(graph, _engine(name).price_table(graph), frozen)
+    _assert_accessors_match(graph, get_engine(name).price_table(graph), frozen)
 
 
 def test_zero_prices_survive():
     """Stored 0.0 prices are entries, not absences: they stay in the
     row, the pair list and ``node_prices``."""
     graph = GRAPHS["zero-transit12"]()
-    for name in sorted(CONFIGS):
-        table = _engine(name).price_table(graph)
+    for name in ENGINES:
+        table = get_engine(name).price_table(graph)
         zeros = [
             (pair, k)
             for pair, row in table.items()
@@ -314,18 +305,18 @@ def test_zero_prices_survive():
             assert (source, destination) in table.node_prices(k)
 
 
-@pytest.mark.parametrize("name", ["flat", "flat-parallel"])
+@pytest.mark.parametrize("name", ["flat"])
 def test_flat_accessors_match_to_rows(name):
     """On continuous costs the flat sweep's floats differ from the
     reference sweep's; its table still reads bit for bit what the
     dict assembly of the same arrays holds."""
     graph = isp_like_graph(40, seed=11, cost_sampler=uniform_costs(1.0, 6.0))
-    table = _engine(name).price_table(graph)
+    table = get_engine(name).price_table(graph)
     frozen = _DictTable(flatsweep.flat_price_arrays(graph, table.routes).to_rows())
     _assert_accessors_match(graph, table, frozen)
 
 
-@pytest.mark.parametrize("name", ["flat", "flat-parallel"])
+@pytest.mark.parametrize("name", ["flat"])
 def test_flat_table_skips_to_rows(name, monkeypatch):
     """The flat engine hands its arrays to the table as they are; no
     engine path assembles the dict-of-dicts."""
@@ -336,8 +327,8 @@ def test_flat_table_skips_to_rows(name, monkeypatch):
     graph = GRAPHS["isp40-s7"]()
     expected = _dict_rows(graph, get_engine("reference").all_pairs(graph))
     monkeypatch.setattr(flatsweep.FlatPriceArrays, "to_rows", refuse)
-    assert _engine(name).price_table(graph).rows == expected
-    assert compute_price_table(graph, engine=_engine(name)).rows == expected
+    assert get_engine(name).price_table(graph).rows == expected
+    assert compute_price_table(graph, engine=get_engine(name)).rows == expected
 
 
 # ----------------------------------------------------------------------
@@ -346,7 +337,7 @@ def test_flat_table_skips_to_rows(name, monkeypatch):
 
 
 @pytest.mark.parametrize("global_on", [False, True], ids=["global-off", "global-on"])
-@pytest.mark.parametrize("name", sorted(CONFIGS))
+@pytest.mark.parametrize("name", ENGINES)
 def test_sanitize_argument_decides_table_check(name, global_on, monkeypatch):
     """``sanitize=False`` skips the table check and ``True`` runs it
     once, under either global toggle; ``None`` follows the toggle."""
@@ -358,5 +349,5 @@ def test_sanitize_argument_decides_table_check(name, global_on, monkeypatch):
     with sanitize.sanitized(global_on):
         for flag, expected in ((False, 0), (True, 1), (None, int(global_on))):
             checked.clear()
-            compute_price_table(graph, engine=_engine(name), sanitize=flag)
+            compute_price_table(graph, engine=get_engine(name), sanitize=flag)
             assert len(checked) == expected, f"sanitize={flag}"

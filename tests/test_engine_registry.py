@@ -28,10 +28,6 @@ class TestRegistry:
         assert isinstance(get_engine("flat"), FlatEngine)
         assert isinstance(get_engine("incremental"), IncrementalEngine)
 
-    def test_get_engine_forwards_options(self):
-        assert get_engine("flat").workers == 1
-        assert get_engine("flat", workers=3).workers == 3
-
     def test_unknown_engine_rejected(self):
         with pytest.raises(EngineError, match="unknown engine 'turbo'"):
             get_engine("turbo")
@@ -41,33 +37,23 @@ class TestRegistry:
             register(ReferenceEngine)
 
     def test_resolve_accepts_instances(self):
-        engine = FlatEngine(workers=2)
+        engine = FlatEngine()
         assert resolve_engine(engine) is engine
         assert isinstance(resolve_engine("flat"), FlatEngine)
-
-
-#: Engine selectors by id: a registry name, or ``flat-parallel`` for a
-#: flat engine instance with a two-worker pooled sweep.
-SELECTORS = {
-    "reference": "reference",
-    "flat": "flat",
-    "flat-parallel": FlatEngine(workers=2),
-    "incremental": "incremental",
-}
 
 
 class TestFlatCarriesPaths:
     """The flat engine builds the canonical forest, so it answers
     ``all_pairs`` with the reference's own routes."""
 
-    @pytest.mark.parametrize("name", ["flat", "flat-parallel"])
+    @pytest.mark.parametrize("name", ["flat"])
     def test_all_pairs(self, fig1, name):
-        routes = resolve_engine(SELECTORS[name]).all_pairs(fig1)
+        routes = resolve_engine(name).all_pairs(fig1)
         assert routes.paths == all_pairs_lcp(fig1).paths
 
-    @pytest.mark.parametrize("name", ["flat", "flat-parallel"])
+    @pytest.mark.parametrize("name", ["flat"])
     def test_all_pairs_lcp_dispatch(self, fig1, name):
-        routes = all_pairs_lcp(fig1, engine=SELECTORS[name])
+        routes = all_pairs_lcp(fig1, engine=name)
         assert routes.paths == all_pairs_lcp(fig1).paths
 
 
@@ -76,13 +62,13 @@ class TestEngineParameter:
         default = all_pairs_lcp(fig1)
         assert all_pairs_lcp(fig1, engine="reference").paths == default.paths
         assert all_pairs_lcp(fig1, engine="incremental").paths == default.paths
-        engine = FlatEngine(workers=2)
+        engine = FlatEngine()
         assert all_pairs_lcp(fig1, engine=engine).paths == default.paths
 
-    @pytest.mark.parametrize("name", sorted(SELECTORS))
+    @pytest.mark.parametrize("name", engine_names())
     def test_compute_price_table_dispatches(self, fig1, name):
         default = compute_price_table(fig1)
-        assert compute_price_table(fig1, engine=SELECTORS[name]).rows == default.rows
+        assert compute_price_table(fig1, engine=name).rows == default.rows
 
     def test_price_table_reuses_routes(self, fig1):
         routes = all_pairs_lcp(fig1)
@@ -131,5 +117,5 @@ class TestCliSurface:
 
 
 def test_repr_is_informative():
-    assert "flat" in repr(FlatEngine(workers=2))
-    assert isinstance(FlatEngine(workers=2), Engine)
+    assert "flat" in repr(FlatEngine())
+    assert isinstance(FlatEngine(), Engine)

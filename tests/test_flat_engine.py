@@ -8,7 +8,9 @@ equal the ``w(u -> v) = c_v`` matrix read straight off
 the reference k-avoiding detour costs, and restore the arrays
 verbatim; and the demand-restricted sweep must reproduce the reference
 engine's prices, error classes, error *messages*, and deterministic
-violation witness.  Cross-engine value
+violation witness -- on fixed graphs and on Hypothesis-drawn ones
+whose half-integer costs make ties frequent, since ties are where
+nondeterminism would hide.  Cross-engine value
 agreement is additionally covered by the differential harness
 (``test_engine_differential.py``) and the golden fixtures -- the flat
 engine registers like any other backend, so those parametrize over it
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
 
 import repro.obs as obs
@@ -57,6 +60,40 @@ def cut_vertex_graph() -> ASGraph:
         nodes=[(0, 1.0), (1, 2.0), (2, 3.0), (3, 4.0), (4, 5.0)],
         edges=[(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)],
     )
+
+
+@st.composite
+def biconnected_graphs(draw, min_nodes=5, max_nodes=11):
+    """A cycle plus random chords, costs quantized to halves."""
+    n = draw(st.integers(min_nodes, max_nodes))
+    costs = draw(
+        st.lists(
+            st.integers(0, 10).map(lambda v: v / 2.0),
+            min_size=n, max_size=n,
+        )
+    )
+    chord_pool = [(i, j) for i in range(n) for j in range(i + 2, n)
+                  if not (i == 0 and j == n - 1)]
+    chords = draw(st.lists(st.sampled_from(chord_pool), unique=True, max_size=6))
+    edges = [(i, (i + 1) % n) for i in range(n)] + chords
+    return ASGraph(nodes=list(enumerate(costs)), edges=edges)
+
+
+@st.composite
+def cut_vertex_graphs(draw, min_nodes=5, max_nodes=9):
+    """A biconnected cycle-plus-chords block with a pendant triangle
+    glued at one node -- that node is a cut vertex, so every cross pair
+    transits it and its avoiding solve finds no path."""
+    block = draw(biconnected_graphs(min_nodes=min_nodes, max_nodes=max_nodes))
+    joint = draw(st.sampled_from(list(block.nodes)))
+    n = block.num_nodes
+    extra_costs = draw(
+        st.lists(st.integers(0, 10).map(lambda v: v / 2.0), min_size=2, max_size=2)
+    )
+    nodes = [(v, block.cost(v)) for v in block.nodes]
+    nodes += [(n, extra_costs[0]), (n + 1, extra_costs[1])]
+    edges = list(block.edges) + [(joint, n), (joint, n + 1), (n, n + 1)]
+    return ASGraph(nodes=nodes, edges=edges)
 
 
 def edge_weight_matrix(graph: ASGraph):
@@ -178,6 +215,13 @@ class TestFlatPriceRows:
             for k in expected[pair]:
                 assert costs_close(actual[pair][k], expected[pair][k])
 
+    @settings(max_examples=8, deadline=None)
+    @given(biconnected_graphs())
+    def test_tie_heavy_graphs_price_as_reference(self, graph):
+        routes = all_pairs_lcp(graph)
+        expected = compute_price_table(graph).rows
+        assert FlatEngine().price_table(graph, routes).rows == expected
+
     def test_demand_restriction_stats(self):
         graph = isp_like_graph(40, seed=6, cost_sampler=integer_costs(1, 6))
         stats = FlatSweepStats()
@@ -199,6 +243,15 @@ class TestErrorParity:
             get_engine("reference").price_table(graph)
         with pytest.raises(NotBiconnectedError) as flat_error:
             get_engine("flat").price_table(graph)
+        assert str(flat_error.value) == str(reference_error.value)
+
+    @settings(max_examples=8, deadline=None)
+    @given(cut_vertex_graphs())
+    def test_cut_vertex_graphs_raise_reference_message(self, graph):
+        with pytest.raises(NotBiconnectedError) as reference_error:
+            get_engine("reference").price_table(graph)
+        with pytest.raises(NotBiconnectedError) as flat_error:
+            FlatEngine().price_table(graph)
         assert str(flat_error.value) == str(reference_error.value)
 
     def test_negative_price_witness_matches_reference(self):
@@ -252,6 +305,30 @@ class TestFlatEngineSurface:
         ) == len(table.rows)
         count, _elapsed = observer.span_stats(obs.names.SPAN_ENGINE_PRICE_TABLE)
         assert count == 1
+
+    def test_trace_summarize_surfaces_flat_rows(self, fig1, tmp_path):
+        from repro.obs.trace import summarize_trace, summary_tables
+
+        stats = FlatSweepStats()
+        flat_price_rows(fig1, stats=stats)
+        path = tmp_path / "flat.jsonl"
+        observer = obs.Obs()
+        sink = observer.add_sink(obs.JSONLSink(str(path)))
+        FlatEngine().price_table(fig1, obs=observer)
+        sink.close()
+        summary = summarize_trace(str(path))
+        assert summary.flat_seen
+        assert (summary.flat_solves, summary.flat_rows, summary.flat_masked) == (
+            stats.solves, stats.rows, stats.masked
+        )
+        assert stats.solves > 0 and stats.masked > 0
+        rendered = summary_tables(summary)[0].render()
+        for label in (
+            "flat sweep Dijkstra solves",
+            "flat sweep distance rows",
+            "flat sweep entries masked",
+        ):
+            assert label in rendered
 
     def test_unobserved_call_emits_nothing(self, fig1):
         # no global observer, no explicit one: the engine must not

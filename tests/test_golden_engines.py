@@ -36,17 +36,6 @@ def fig1():
     return fig1_graph()
 
 
-#: Every engine configuration under test, by id; ``flat-parallel`` is
-#: the flat engine's pooled sweep with two worker processes.
-CONFIGS = {name: (name, {}) for name in engine_names()}
-CONFIGS["flat-parallel"] = ("flat", {"workers": 2})
-
-
-def _engine(config):
-    name, options = CONFIGS[config]
-    return get_engine(name, **options)
-
-
 def test_fixture_is_complete(golden, fig1):
     n = fig1.num_nodes
     assert len(golden["price_table"]) == n * (n - 1)
@@ -55,9 +44,9 @@ def test_fixture_is_complete(golden, fig1):
     assert golden["price_table"]["4->5"]["prices"] == {"3": 9.0}
 
 
-@pytest.mark.parametrize("name", sorted(CONFIGS))
+@pytest.mark.parametrize("name", engine_names())
 def test_engine_reproduces_golden_prices(golden, fig1, name):
-    engine = _engine(name)
+    engine = get_engine(name)
     table = engine.price_table(fig1)
     routes = table.routes
     seen = set()
@@ -77,11 +66,11 @@ def test_engine_reproduces_golden_prices(golden, fig1, name):
     assert stored <= seen, name
 
 
-@pytest.mark.parametrize("name", sorted(CONFIGS))
+@pytest.mark.parametrize("name", engine_names())
 def test_engine_reproduces_fig2_tree(golden, fig1, name):
     expected = golden["fig2_tree"]
     destination = expected["destination"]
-    tree = _engine(name).all_pairs(fig1).tree(destination)
+    tree = get_engine(name).all_pairs(fig1).tree(destination)
     actual = {str(node): tree.parent(node) for node in tree.sources()}
     assert actual == expected["parents"], name
 
