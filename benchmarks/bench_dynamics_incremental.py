@@ -45,11 +45,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
 import random
 import time
-from importlib import metadata
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.graphs.asgraph import ASGraph
@@ -58,6 +55,8 @@ from repro.graphs.generators import isp_like_graph, uniform_costs
 from repro.mechanism.vcg import compute_price_table
 from repro.routing.allpairs import all_pairs_lcp
 from repro.routing.engines import IncrementalEngine
+
+from host_facts import host_facts
 
 QUICK_EVENTS = 4
 FULL_EVENTS = 12
@@ -227,19 +226,6 @@ def _identical(ref_routes, ref_table, inc_routes, inc_table) -> bool:
     return inc_table.rows == ref_table.rows
 
 
-def _host() -> Dict[str, Any]:
-    """CPU count and the Python and numpy versions of this run."""
-    try:
-        numpy_version: Optional[str] = metadata.version("numpy")
-    except metadata.PackageNotFoundError:
-        numpy_version = None
-    return {
-        "cpu_count": os.cpu_count(),
-        "python": platform.python_version(),
-        "numpy": numpy_version,
-    }
-
-
 def run_suite(quick: bool = True, seed: int = 0, n: int = DEFAULT_N) -> Dict[str, Any]:
     """Run the scripted comparison; returns the JSON document."""
     graph = _make_graph(n, seed)
@@ -306,7 +292,7 @@ def run_suite(quick: bool = True, seed: int = 0, n: int = DEFAULT_N) -> Dict[str
         "seed": seed,
         "events": len(epochs),
         "generated": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "host": _host(),
+        "host": host_facts(),
         "epochs": epochs,
         "all_model_identical": warm_identical
         and all(e["model_identical"] for e in epochs),

@@ -25,10 +25,11 @@ regresses:
 
 4. **Preset scaling** (phase ``presets``).  Every scaling preset is
    priced end-to-end on the array-native path (demand read straight
-   from the canonical forest builder's arrays + inline sweep),
-   recording wall-clock, peak tracemalloc, and peak RSS,
-   each gated against a bound derived from the preset's own demand
-   accounting.  By default the phase covers n <= 2000;
+   from the canonical forest builder's arrays + inline sweep), each in
+   a child process of its own, one at a time, recording wall-clock,
+   peak tracemalloc gated against a bound derived from the preset's
+   own demand accounting, and that child's peak RSS.  By default the
+   phase covers n <= 2000;
    ``--full-presets`` extends it to n = 5000 and n = 10000 (the
    internet-scale floor -- minutes of wall-clock, run to refresh the
    committed artifact rather than per-CI).
@@ -37,8 +38,9 @@ regresses:
 *merges* into an existing ``BENCH_flat.json`` (phases of ``ALL_PHASES``
 not re-run keep their previous records), so a partial run such as the
 CI gate ``--phases identity,speedup`` does not discard the committed
-full-preset rows.  The document's ``host`` block records the CPU count
-and the Python, numpy and scipy versions of the run.  Run directly::
+full-preset rows; the printed summary covers only the phases this run
+measured.  The document's ``host`` block records the CPU count and the
+Python, numpy and scipy versions of the run.  Run directly::
 
     python benchmarks/bench_flat_sweep.py --quick --out BENCH_flat.json
     python benchmarks/bench_flat_sweep.py --phases identity,speedup
@@ -60,12 +62,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import os
-import platform
 import resource
 import time
 import tracemalloc
-from importlib import metadata
+from concurrent.futures import ProcessPoolExecutor
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import EngineError, MechanismError, NotBiconnectedError
@@ -77,6 +79,8 @@ from repro.graphs.generators import (
     scaling_graph,
 )
 from repro.types import Cost, NodeId, costs_close
+
+from host_facts import host_facts
 
 if TYPE_CHECKING:  # annotations only; numpy/scipy load at call time
     import numpy as np
@@ -124,11 +128,20 @@ def _tables_agree(expected, actual) -> List[str]:
 
 
 def _peak_rss_bytes() -> int:
-    """High-water RSS of this process (Linux reports KiB).
+    """Peak RSS of this process's own address space (Linux ``VmHWM``).
 
-    Cumulative over the process lifetime -- meaningful when phases run
-    instances in ascending size order, as the presets phase does.
+    Not ``ru_maxrss``: Linux carries the spawning process's high-water
+    mark across ``execve``, so a preset child started after the memory
+    phase would report that phase's peak.  Falls back to ``ru_maxrss``
+    (KiB on Linux) where ``/proc`` is missing.
     """
+    try:
+        with open("/proc/self/status", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) * 1024
+    except OSError:
+        pass
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
 
 
@@ -443,18 +456,17 @@ def run_memory_phase() -> Dict[str, Any]:
     }
 
 
-def run_presets_phase(sizes: Sequence[int]) -> Dict[str, Any]:
-    """Price every scaling preset end-to-end on the array-native path.
+def _price_preset(preset: str) -> Dict[str, Any]:
+    """Price one scaling preset end-to-end on the array-native path.
 
     Demand comes straight from the canonical forest builder's
     per-block parent/cost arrays -- exact canonical routes, with no
     ``RouteTree`` objects -- the sweep runs inline, and nothing
     materializes per-entry Python objects; this is the large-instance
     configuration the ROADMAP's internet-scale item needs.  Peak
-    tracemalloc is gated against a bound derived from
-    the preset's own demand accounting; peak RSS is recorded (run in
-    ascending size order, so the cumulative high-water mark is
-    attributable to the largest completed preset).
+    tracemalloc is gated against a bound derived from the preset's own
+    demand accounting.  Called in a child process of its own, so the
+    recorded peak RSS is this preset's alone.
     """
     from repro.routing.flatgraph import build_flat_graph
     from repro.routing.flatsweep import (
@@ -464,63 +476,70 @@ def run_presets_phase(sizes: Sequence[int]) -> Dict[str, Any]:
     )
     from repro.routing.forest import _BLOCK_ELEMENTS
 
+    graph = scaling_graph(preset)
+    n = graph.num_nodes
+    flat = build_flat_graph(graph)
+    stats = FlatSweepStats()
+    tracemalloc.start()
+    demand_start = time.perf_counter()
+    demand = canonical_demand(graph, flat)
+    demand_seconds = time.perf_counter() - demand_start
+    sweep_start = time.perf_counter()
+    arrays = sweep_demand(demand, stats=stats)
+    sweep_seconds = time.perf_counter() - sweep_start
+    _current, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+
+    # Demand-derived bound, no dict assembly term: one forest block
+    # (per-edge candidate arrays, ~17B per directed-edge slot; the
+    # distance, parent, cost and hop rows plus the level-wise
+    # accumulation transients, ~80B per node slot), the demand
+    # arrays (two orders plus pre-gathered solve columns, ~56B/entry
+    # with concatenation transients), and a few live distance blocks.
+    block_bytes = 8 * n * stats.max_block_rows
+    forest_rows = max(1, _BLOCK_ELEMENTS // (2 * graph.num_edges))
+    forest_bytes = forest_rows * (17 * 2 * graph.num_edges + 80 * n)
+    demand_bound = (
+        64_000_000
+        + 4 * block_bytes
+        + 2 * forest_bytes
+        + 96 * stats.entries
+    )
+    return {
+        "n": n,
+        "edges": graph.num_edges,
+        "pairs_priced": arrays.num_pairs,
+        "demand_seconds": round(demand_seconds, 4),
+        "sweep_seconds": round(sweep_seconds, 4),
+        "sweep_stats": stats.__dict__.copy(),
+        "tracemalloc_peak_bytes": peak,
+        "demand_bound_bytes": demand_bound,
+        "rss_peak_bytes": _peak_rss_bytes(),
+        "within_bound": peak < demand_bound,
+    }
+
+
+def run_presets_phase(sizes: Sequence[int]) -> Dict[str, Any]:
+    """Price every scaling preset of *sizes* (see :func:`_price_preset`),
+    each in a freshly spawned child process, one at a time."""
     presets = [
         f"{family}-{n}"
         for n in sorted(sizes)
         for family in ("barabasi-albert", "isp-like")
         if f"{family}-{n}" in SCALING_PRESETS
     ]
+    spawn = multiprocessing.get_context("spawn")
     rows: Dict[str, Any] = {}
     for preset in presets:
-        graph = scaling_graph(preset)
-        n = graph.num_nodes
-        flat = build_flat_graph(graph)
-        stats = FlatSweepStats()
-        tracemalloc.start()
-        demand_start = time.perf_counter()
-        demand = canonical_demand(graph, flat)
-        demand_seconds = time.perf_counter() - demand_start
-        sweep_start = time.perf_counter()
-        arrays = sweep_demand(demand, stats=stats)
-        sweep_seconds = time.perf_counter() - sweep_start
-        _current, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-
-        # Demand-derived bound, no dict assembly term: one forest block
-        # (per-edge candidate arrays, ~17B per directed-edge slot; the
-        # distance, parent, cost and hop rows plus the level-wise
-        # accumulation transients, ~80B per node slot), the demand
-        # arrays (two orders plus pre-gathered solve columns, ~56B/entry
-        # with concatenation transients), and a few live distance blocks.
-        block_bytes = 8 * n * stats.max_block_rows
-        forest_rows = max(1, _BLOCK_ELEMENTS // (2 * graph.num_edges))
-        forest_bytes = forest_rows * (17 * 2 * graph.num_edges + 80 * n)
-        demand_bound = (
-            64_000_000
-            + 4 * block_bytes
-            + 2 * forest_bytes
-            + 96 * stats.entries
-        )
-        rows[preset] = {
-            "n": n,
-            "edges": graph.num_edges,
-            "pairs_priced": arrays.num_pairs,
-            "demand_seconds": round(demand_seconds, 4),
-            "sweep_seconds": round(sweep_seconds, 4),
-            "sweep_stats": stats.__dict__.copy(),
-            "tracemalloc_peak_bytes": peak,
-            "demand_bound_bytes": demand_bound,
-            "rss_peak_bytes": _peak_rss_bytes(),
-            "within_bound": peak < demand_bound,
-        }
-        del demand, arrays, flat, graph
+        with ProcessPoolExecutor(max_workers=1, mp_context=spawn) as child:
+            rows[preset] = child.submit(_price_preset, preset).result()
     return {
         "sizes": sorted(sizes),
         "demand": "canonical forest arrays (exact canonical routes)",
         "rows": rows,
         "note": (
-            "timed under tracemalloc; rss_peak_bytes is the process "
-            "high-water mark, cumulative across ascending presets"
+            "timed under tracemalloc; rss_peak_bytes is the peak RSS of "
+            "the child process that priced the preset"
         ),
     }
 
@@ -571,25 +590,10 @@ def run_suite(
     return {
         "benchmark": "flat_sweep",
         "quick": quick,
-        "host": _host(),
+        "host": host_facts(("numpy", "scipy")),
         "phases": phases,
         "failures": failures,
         "passed": not failures,
-    }
-
-
-def _host() -> Dict[str, Any]:
-    """CPU count and the Python, numpy and scipy versions of this run."""
-    versions: Dict[str, Optional[str]] = {}
-    for package in ("numpy", "scipy"):
-        try:
-            versions[package] = metadata.version(package)
-        except metadata.PackageNotFoundError:
-            versions[package] = None
-    return {
-        "cpu_count": os.cpu_count(),
-        "python": platform.python_version(),
-        **versions,
     }
 
 
@@ -652,12 +656,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     document = run_suite(
         quick=args.quick, phases_selected=selected, full_presets=args.full_presets
     )
+    phases = document["phases"]  # this run's phases only, before the merge
     document = _merge_into_existing(args.out, document)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(document, fh, indent=2)
         fh.write("\n")
 
-    phases = document["phases"]
     if "speedup" in phases:
         speed = phases["speedup"]
         print(

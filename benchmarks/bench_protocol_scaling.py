@@ -1,17 +1,22 @@
 """Protocol-scaling benchmark: full-table vs delta transport (BENCH_protocol.json).
 
 Measures the BGP substrate's cost-to-convergence as the instance grows,
-under both transports:
+under both transports of the staged engine's one step:
 
-* ``full``  -- the literal Sect. 5 model: whole routing tables on every
+* ``full``  -- Sect. 5's accounting: whole routing tables on every
   transmission;
-* ``delta`` -- the incremental substrate: per-destination diff
-  advertisements plus dirty-set scheduling.
+* ``delta`` -- per-destination diff advertisements.
 
-For each (family, workload, n) the script runs both transports, checks
-that every model-level measure (stages, messages, entries) is
-identical, and records the transport-level difference: rows actually
-transmitted and wall-clock.  Output goes to ``BENCH_protocol.json``
+Both run the same senders, receivers and dirty-set decisions, so the
+rows sent differ and the model does not.  For each (family, workload,
+n) the script runs both transports, checks that every model-level
+measure (stages, messages, entries) is identical, and records the
+transport-level difference: rows actually transmitted and wall-clock.
+``speedup`` thus compares whole-table receipt with delta receipt alone
+and sits near 1x; it read 1.5--3.6x while ``full`` still decided every
+node every stage.  The document's ``host`` block (CPU count, Python and
+numpy versions) says which machine the wall times belong to; the
+counts do not depend on it.  Output goes to ``BENCH_protocol.json``
 (``make bench-protocol`` writes it at the repo root), so the perf
 trajectory of the substrate is tracked in-repo.
 
@@ -40,6 +45,8 @@ from repro.core.price_node import PriceComputingNode
 from repro.graphs.asgraph import ASGraph
 from repro.graphs.generators import grid_graph, integer_costs, isp_like_graph
 from repro.types import Cost, NodeId
+
+from host_facts import host_facts
 
 #: (rows, cols) grid shapes: high-diameter instances where full-table
 #: rebroadcast is at its worst.  n = rows * cols.
@@ -134,6 +141,7 @@ def run_suite(quick: bool = True, seed: int = 0) -> Dict[str, Any]:
         "mode": "quick" if quick else "full",
         "seed": seed,
         "generated": time.strftime("%Y-%m-%dT%H:%M:%S"),
+        "host": host_facts(),
         "results": results,
         "all_model_identical": all(r["model_identical"] for r in results),
         "min_rows_ratio": min((r["rows_ratio"] for r in results), default=0.0),

@@ -13,8 +13,10 @@ every configuration the script
   next to the synchronous run's stages (vs the Theorem 2 ``max(d, d')``
   bound) and rows.
 
-Output goes to ``BENCH_timed.json`` (``make bench-timed`` writes it at
-the repo root).
+The document's ``host`` block (CPU count, Python and numpy versions)
+says which machine the wall times belong to; the counts do not depend
+on it.  Output goes to ``BENCH_timed.json`` (``make bench-timed``
+writes it at the repo root).
 
 Run directly::
 
@@ -42,6 +44,8 @@ from repro.core.protocol import (
 )
 from repro.graphs.asgraph import ASGraph
 from repro.graphs.generators import grid_graph, integer_costs, isp_like_graph
+
+from host_facts import host_facts
 
 #: (rows, cols) grid shapes, n = rows * cols (see bench_protocol_scaling).
 _GRID_SHAPES: Dict[int, Tuple[int, int]] = {
@@ -148,6 +152,7 @@ def run_suite(quick: bool = True, seed: int = 0) -> Dict[str, Any]:
         "seed": seed,
         "settings": [setting for setting, _delay, _mrai in SETTINGS],
         "generated": time.strftime("%Y-%m-%dT%H:%M:%S"),
+        "host": host_facts(),
         "results": results,
         "all_model_identical": all(r["model_identical"] for r in results),
     }

@@ -14,8 +14,8 @@ not.  One symbol per concept:
   engine registry by name (``reference`` | ``flat`` | ``incremental``).
 * :func:`run` -- **the** distributed entry point: every substrate and
   scenario shape behind one call.  ``protocol=`` picks the staged
-  engine (``"delta"`` incremental transport, ``"full"`` literal
-  Sect. 5 tables) or the discrete-event ``"timed"`` substrate;
+  engine (``"delta"`` incremental transport, ``"full"`` whole tables
+  on every transmission) or the discrete-event ``"timed"`` substrate;
   ``events=`` switches from one convergence to the Sect. 6 dynamics
   (scripted events, staged; ``(virtual_time, event)`` pairs, timed).
   ``delay=`` takes a :class:`DelayModel` or a ``"uniform:0.1,1.0"``

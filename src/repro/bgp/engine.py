@@ -7,19 +7,18 @@ it changed.  The engine is generic over the node class, so plain BGP
 and the FPSS price-computing extension run on identical machinery and
 identical messages.
 
-It supports two transports:
-
-* ``incremental=False`` -- the literal Sect. 5 model: full routing
-  tables on every transmission.
-* ``incremental=True`` (the default) -- the delta substrate: each
-  transmission is a :class:`~repro.bgp.messages.RouteDelta` carrying
-  only the rows that changed since the previous transmission, and only
-  nodes whose inbound state changed recompute (dirty-set scheduling).
-  Every model-level quantity -- stage counts, message counts,
-  ``entries_sent`` (accounted as whole tables, per the model), the
-  converged tables, prices, and reports -- is bit-identical to the
-  full-table transport; only the transport-level ``rows_sent`` /
-  ``rows_suppressed`` counters see the savings.
+There is one step, the delta substrate: a sender transmits a
+:class:`~repro.bgp.messages.RouteDelta` carrying only the rows that
+changed since its previous transmission, and only nodes whose inbound
+state changed recompute (dirty-set scheduling).  A link that has not
+yet carried the sender's published table (a restored link) gets the
+whole table instead.  ``incremental=False`` puts whole tables on the
+wire on every transmission -- the paper's accounting -- through the
+same senders, receivers and decisions.  Every model-level quantity --
+stage counts, message counts, ``entries_sent`` (accounted as whole
+tables, per the model), the converged tables, prices, and reports --
+is the same under both transports; only the transport-level
+``rows_sent`` / ``rows_suppressed`` counters see the savings.
 
 The paper analyses only the synchronous case.  Asynchronous runs --
 messages with independent random delays, processed one at a time --
@@ -32,11 +31,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Set, Tuple
 
 import repro.obs as obs_mod
-from repro.bgp.messages import (
-    RouteAdvertisement,
-    RouteDelta,
-    row_materially_different,
-)
+from repro.bgp.messages import RouteAdvertisement, RouteDelta
 from repro.bgp.metrics import ConvergenceReport, StageStats
 from repro.bgp.node import NodeFactory, ProtocolEngine, _default_factory
 from repro.bgp.policy import SelectionPolicy
@@ -45,31 +40,7 @@ from repro.devtools import sanitize
 from repro.exceptions import ConvergenceError, ProtocolError
 from repro.graphs.asgraph import ASGraph
 from repro.obs import names as metric_names
-from repro.types import Cost, NodeId
-
-
-def _materially_different(
-    old_table: Tuple[RouteAdvertisement, ...],
-    new_table: Tuple[RouteAdvertisement, ...],
-) -> bool:
-    """Whether two published tables differ beyond float reassociation.
-
-    Routes (paths and exact costs) must match; price entries may differ
-    within :data:`~repro.bgp.messages.NOISE_REL_TOL`.  Exact equality is
-    still what drives retransmission -- this predicate only affects the
-    *stage counting* reported to the convergence experiments.  Interned
-    rows make the common unchanged-row case a pointer check.
-    """
-    if len(old_table) != len(new_table):
-        return True
-    old_by_dest = {advert.destination: advert for advert in old_table}
-    for advert in new_table:
-        old = old_by_dest.get(advert.destination)
-        if old is None:
-            return True
-        if old is not advert and row_materially_different(old, advert):
-            return True
-    return False
+from repro.types import NodeId
 
 
 class SynchronousEngine(ProtocolEngine):
@@ -93,22 +64,14 @@ class SynchronousEngine(ProtocolEngine):
         obs: Optional[obs_mod.Obs] = None,
     ) -> None:
         super().__init__(graph, policy, node_factory, restart_on_events, obs)
-        # Delta transport + dirty-set scheduling (bit-identical results;
-        # False reverts to the literal full-table model).
+        # Delta transport (False: whole tables on every transmission;
+        # the same step and decisions either way).
         self.incremental = incremental
-        # What each node most recently sent (per the "send only when
-        # changed" rule we must remember the last transmission).  The
-        # incremental transport does not maintain this map: the per-node
-        # publication baseline plays that role at O(changed rows).
-        self._published: Dict[NodeId, Tuple[RouteAdvertisement, ...]] = {}
         # Nodes whose table changed in the previous stage and therefore
-        # transmit at the start of the next one.
+        # transmit at the start of the next one, and the delta each of
+        # them transmits.
         self._pending: Set[NodeId] = set()
-        # Incremental transport: the delta each pending node transmits
-        # next stage, and the (sender, receiver) links that still need
-        # an initial full-table sync (freshly restored links).
         self._outbox: Dict[NodeId, RouteDelta] = {}
-        self._unsynced: Set[Tuple[NodeId, NodeId]] = set()
         self._initialized = False
         self.stage_count = 0
 
@@ -116,18 +79,11 @@ class SynchronousEngine(ProtocolEngine):
     # Lifecycle
     # ------------------------------------------------------------------
     def initialize(self) -> None:
-        """Stage 0: every node publishes its self-route."""
-        for node_id, node in self.nodes.items():
-            if self.incremental:
-                # The first publication delta *is* the full table (one
-                # self-route row), so no separate initial sync is needed.
-                delta = node.publication_delta()
-                self._outbox[node_id] = RouteDelta(
-                    node_id, delta.updates, delta.withdrawals
-                )
-            else:
-                self._published[node_id] = node.advertisements()
-            self._pending.add(node_id)
+        """Stage 0: every node publishes its self-route.  The first
+        publication delta *is* the full table (one self-route row), so
+        no separate initial sync is needed."""
+        for node_id in self.nodes:
+            self._publish(node_id)
         self._initialized = True
         self.stage_count = 0
 
@@ -155,72 +111,31 @@ class SynchronousEngine(ProtocolEngine):
         return stats
 
     def _step(self) -> StageStats:
-        if not self._initialized:
-            raise ProtocolError("engine not initialized; call initialize() first")
-        if self.incremental:
-            return self._step_incremental()
-        self.stage_count += 1
-        senders = set(self._pending)
-        messages = 0
-        entries = 0
-        rows = 0
-        # Deliveries: every pending sender transmits its full table to
-        # each current neighbor.
-        for sender in sorted(senders):
-            table = self._published[sender]
-            table_entries = sum(advert.size_entries() for advert in table)
-            for neighbor in sorted(self.adjacency[sender]):
-                self.nodes[neighbor].receive_table(sender, table)
-                messages += 1
-                entries += table_entries
-                rows += len(table)
-        # Local computation + publication of changed tables.
-        changed: Set[NodeId] = set()
-        materially_changed: Set[NodeId] = set()
-        for node_id in sorted(self.nodes):
-            node = self.nodes[node_id]
-            node.decide()
-            adverts = node.advertisements()
-            previous = self._published.get(node_id)
-            if adverts != previous:
-                if previous is None or _materially_different(previous, adverts):
-                    materially_changed.add(node_id)
-                self._published[node_id] = adverts
-                changed.add(node_id)
-        self._pending = changed
-        if sanitize.enabled():
-            self._sanitize_stage()
-        return StageStats(
-            stage=self.stage_count,
-            nodes_changed=len(materially_changed),
-            messages=messages,
-            entries_sent=entries,
-            rows_sent=rows,
-        )
+        """One stage.
 
-    def _step_incremental(self) -> StageStats:
-        """One stage under the delta transport.
-
-        Bit-identity with :meth:`_step`: the same senders transmit to
-        the same neighbors in the same order (so message counts and obs
-        event sequences match); ``entries_sent`` still accounts whole
-        published tables (the model's measure -- maintained
-        incrementally via the nodes' publication baselines); and a node
-        is pending/materially-changed under exactly the condition the
-        full-table comparison would produce (see
-        :meth:`BGPNode.publication_delta`).  Only nodes with a nonempty
+        Every pending sender transmits to each current neighbor in
+        ascending order: its pending delta, or its whole published
+        table when the transport is full-table or the link is unsynced.
+        ``entries_sent`` accounts whole published tables either way
+        (the model's measure, maintained incrementally via the nodes'
+        publication baselines), and a node is materially changed under
+        the noise-tolerant row comparison of
+        :meth:`BGPNode.publication_delta`.  Only nodes with a nonempty
         dirty set recompute: route selection and the derived price
         state are pure per-destination functions of the Adj-RIB-In, so
         skipping a node with untouched inputs leaves identical state.
         """
+        if not self._initialized:
+            raise ProtocolError("engine not initialized; call initialize() first")
         self.stage_count += 1
-        senders = set(self._pending)
+        full_tables = not self.incremental
+        unsynced = self._unsynced
         messages = 0
         entries = 0
         rows_sent = 0
         rows_suppressed = 0
         dirty: Dict[NodeId, Set[NodeId]] = {}
-        for sender in sorted(senders):
+        for sender in sorted(self._pending):
             node = self.nodes[sender]
             delta = self._outbox.pop(sender, None)
             if delta is None:
@@ -229,11 +144,11 @@ class SynchronousEngine(ProtocolEngine):
             table_entries = node.published_entries
             for neighbor in sorted(self.adjacency[sender]):
                 receiver = self.nodes[neighbor]
-                if (sender, neighbor) in self._unsynced:
-                    # First transmission over a (re)established link:
-                    # the receiver holds no baseline, so sync the full
-                    # published table once; deltas apply from then on.
-                    self._unsynced.discard((sender, neighbor))
+                link = (sender, neighbor)
+                if full_tables or link in unsynced:
+                    # Whole table: the receiver then holds the sender's
+                    # publication as its baseline for later deltas.
+                    unsynced.discard(link)
                     if table is None:
                         table = node.published_table()
                     changed_dests = receiver.receive_table(sender, table)
@@ -270,7 +185,7 @@ class SynchronousEngine(ProtocolEngine):
                 if delta.material:
                     materially_changed.add(node_id)
         self._pending = changed
-        if sanitize.enabled():
+        if decide_all:
             self._sanitize_stage()
         return StageStats(
             stage=self.stage_count,
@@ -357,15 +272,11 @@ class SynchronousEngine(ProtocolEngine):
     # ------------------------------------------------------------------
     # Dynamics
     # ------------------------------------------------------------------
-    def _publish_event_state(self, node_id: NodeId) -> None:
-        """Publish a node's table after an event (mode-appropriate)."""
-        node = self.nodes[node_id]
-        if self.incremental:
-            self._outbox[node_id] = self._merged_outbox_delta(
-                node_id, node.publication_delta()
-            )
-        else:
-            self._published[node_id] = node.advertisements()
+    def _publish(self, node_id: NodeId) -> None:
+        """Queue the node's publication delta for the next stage."""
+        self._outbox[node_id] = self._merged_outbox_delta(
+            node_id, self.nodes[node_id].publication_delta()
+        )
         self._pending.add(node_id)
 
     def _merged_outbox_delta(self, node_id: NodeId, delta) -> RouteDelta:
@@ -393,56 +304,23 @@ class SynchronousEngine(ProtocolEngine):
             tuple(sorted(withdrawn)),
         )
 
-    def fail_link(self, u: NodeId, v: NodeId) -> None:
-        """Remove the link ``(u, v)``; both ends drop the adjacency and
-        everything learned over it, then reconverge on subsequent runs."""
-        if v not in self.adjacency.get(u, ()):  # pragma: no cover - guard
-            raise ProtocolError(f"no live link between {u} and {v}")
-        self.adjacency[u].discard(v)
-        self.adjacency[v].discard(u)
-        # A dead link needs no initial sync anymore.
-        self._unsynced.discard((u, v))
-        self._unsynced.discard((v, u))
-        for end, other in ((u, v), (v, u)):
-            node = self.nodes[end]
-            node.drop_neighbor(other)
-            node.decide()
-            self._publish_event_state(end)
-        self._restart_derived_state()
-
     def restore_link(self, u: NodeId, v: NodeId) -> None:
-        """Re-add a previously failed link."""
+        """Re-add a previously failed link.
+
+        Both endpoints (re)transmit over the new link; marking them
+        pending re-sends to all neighbors, which is the worst-case
+        behavior the model accounts anyway.  The new link's first
+        exchange is a full-table sync (the far end holds no baseline);
+        the other neighbors get the pending delta, empty if nothing
+        changed.
+        """
         if u not in self.nodes or v not in self.nodes:
             raise ProtocolError(f"unknown endpoint on link ({u}, {v})")
         self.adjacency[u].add(v)
         self.adjacency[v].add(u)
-        # Both endpoints must (re)transmit their tables over the new link;
-        # marking them pending re-sends to all neighbors, which is the
-        # worst-case behavior the model accounts anyway.  Under the delta
-        # transport the new link's first exchange is a full-table sync
-        # (the far end holds no baseline); the other neighbors get the
-        # pending delta, empty if nothing changed.
-        if self.incremental:
-            self._unsynced.update(((u, v), (v, u)))
+        self._unsynced.update(((u, v), (v, u)))
         self._pending.update((u, v))
         self._restart_derived_state()
-
-    def change_cost(self, node_id: NodeId, cost: Cost) -> None:
-        """Node *node_id* re-declares its per-packet cost."""
-        node = self.nodes[node_id]
-        node.set_declared_cost(cost)
-        node.decide()
-        self._publish_event_state(node_id)
-        self._restart_derived_state()
-
-    def full_restart(self) -> None:
-        """Forget everything learned and reconverge from scratch (the
-        paper's convergence-begins-again model)."""
-        self._sanitize_baseline.clear()
-        self._sanitize_monotone_armed = True
-        for node_id, node in self.nodes.items():
-            node.restart()
-            self._publish_event_state(node_id)
 
 
 #: The asynchronous engine is :class:`TimedEngine` in its default

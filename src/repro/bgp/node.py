@@ -31,8 +31,9 @@ changed since the last transmission (plus withdrawals), which is what a
 :class:`ProtocolEngine` is what the two protocol engines
 (:class:`~repro.bgp.engine.SynchronousEngine` and
 :class:`~repro.bgp.timed.TimedEngine`) share: the nodes built by a
-:data:`NodeFactory`, the live adjacency, the Sect. 6 restart rule, the
-per-node sanitizer checks and the :class:`StateReport`.
+:data:`NodeFactory`, the live adjacency, the link, cost and restart
+events with the Sect. 6 restart rule, the per-node sanitizer checks and
+the :class:`StateReport`.
 """
 
 from __future__ import annotations
@@ -560,9 +561,12 @@ class ProtocolEngine:
     """The node layer both protocol engines drive.
 
     One node per AS, built by *node_factory*; the mutable adjacency that
-    link dynamics edit; Sect. 6's restart rule; and the sanitizer's
-    per-node checks.  Subclasses run the message exchange (staged or
-    event-driven) and implement :meth:`full_restart`.
+    link dynamics edit; the network events (:meth:`fail_link`,
+    :meth:`change_cost`, :meth:`full_restart`) with Sect. 6's restart
+    rule; and the sanitizer's per-node checks.  Subclasses run the
+    message exchange (staged or event-driven) through three transport
+    hooks -- :meth:`_publish`, :meth:`_drop_link` and
+    :meth:`_reset_transport` -- and implement ``restore_link``.
     """
 
     def __init__(
@@ -593,6 +597,9 @@ class ProtocolEngine:
         self.adjacency: Dict[NodeId, Set[NodeId]] = {
             node: set(graph.neighbors(node)) for node in graph.nodes
         }
+        # Directed links awaiting their first full-table transmission
+        # (restored links: the far end holds no delta baseline).
+        self._unsynced: Set[Tuple[NodeId, NodeId]] = set()
         # Per-node route-key snapshots for the sanitizer's monotone
         # convergence check.  Monotonicity holds only from a cold start:
         # warm reconvergence after an event (e.g. a cost increase under
@@ -602,8 +609,56 @@ class ProtocolEngine:
         self._sanitize_monotone_armed = True
 
     # ------------------------------------------------------------------
+    # Transport hooks
+    # ------------------------------------------------------------------
+    def _publish(self, node_id: NodeId) -> None:  # pragma: no cover - abstract
+        """Put the node's publication delta on the wire (or queue it)."""
+        raise NotImplementedError
+
+    def _drop_link(self, link: Tuple[NodeId, NodeId]) -> None:
+        """Forget the transport state of a failed directed link."""
+        self._unsynced.discard(link)
+
+    def _reset_transport(self) -> None:
+        """Forget all transport state before a full restart."""
+
+    # ------------------------------------------------------------------
     # Dynamics
     # ------------------------------------------------------------------
+    def fail_link(self, u: NodeId, v: NodeId) -> None:
+        """Remove the link ``(u, v)``; both ends drop the adjacency and
+        everything learned over it, decide and republish."""
+        if v not in self.adjacency.get(u, ()):
+            raise ProtocolError(f"no live link between {u} and {v}")
+        self.adjacency[u].discard(v)
+        self.adjacency[v].discard(u)
+        for link in ((u, v), (v, u)):
+            self._drop_link(link)
+        for end, other in ((u, v), (v, u)):
+            node = self.nodes[end]
+            node.drop_neighbor(other)
+            node.decide()
+            self._publish(end)
+        self._restart_derived_state()
+
+    def change_cost(self, node_id: NodeId, cost: Cost) -> None:
+        """Node *node_id* re-declares its per-packet cost."""
+        node = self.nodes[node_id]
+        node.set_declared_cost(cost)
+        node.decide()
+        self._publish(node_id)
+        self._restart_derived_state()
+
+    def full_restart(self) -> None:
+        """Forget everything learned and reconverge from scratch (the
+        paper's convergence-begins-again model)."""
+        self._sanitize_baseline.clear()
+        self._sanitize_monotone_armed = True
+        self._reset_transport()
+        for node_id, node in self.nodes.items():
+            node.restart()
+            self._publish(node_id)
+
     def _restart_derived_state(self) -> None:
         """Apply Sect. 6's restart semantics after a network change.
 
@@ -626,9 +681,6 @@ class ProtocolEngine:
         )
         if needs_restart:
             self.full_restart()
-
-    def full_restart(self) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
 
     # ------------------------------------------------------------------
     # Sanitizer hooks

@@ -53,7 +53,7 @@ import heapq
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 import repro.obs as obs_mod
 from repro.bgp.delays import DelayModel, UniformDelay, resolve_delay
@@ -66,7 +66,7 @@ from repro.devtools import sanitize
 from repro.exceptions import ConvergenceError, ProtocolError
 from repro.graphs.asgraph import ASGraph
 from repro.obs import names as metric_names
-from repro.types import Cost, NodeId
+from repro.types import NodeId
 
 #: MRAI timer granularities (RFC 4271 runs one timer per peer; classic
 #: rate-limiting literature studies the per-prefix variant).
@@ -215,8 +215,6 @@ class TimedEngine(ProtocolEngine):
         self._sessions: Dict[Tuple[NodeId, NodeId], _Session] = {
             (u, v): _Session() for u in self.adjacency for v in self.adjacency[u]
         }
-        # Restored links awaiting their initial full-table sync.
-        self._unsynced: Set[Tuple[NodeId, NodeId]] = set()
         # MRAI state: earliest next-send time per timer scope, pending
         # (coalesced) rows per directed link, and the armed-expiry
         # tokens that invalidate in-flight timer events on teardown.
@@ -251,11 +249,8 @@ class TimedEngine(ProtocolEngine):
     # ------------------------------------------------------------------
     def initialize(self) -> None:
         """Every node publishes its self-route at virtual time 0."""
-        for node_id, node in self.nodes.items():
-            delta = node.publication_delta()
-            self._broadcast_delta(
-                node_id, RouteDelta(node_id, delta.updates, delta.withdrawals)
-            )
+        for node_id in self.nodes:
+            self._publish(node_id)
         self._started = True
 
     @property
@@ -648,34 +643,39 @@ class TimedEngine(ProtocolEngine):
         )
 
     # ------------------------------------------------------------------
-    # Dynamics (the same surface as SynchronousEngine; also reachable
-    # mid-run through schedule_event)
+    # Dynamics: fail_link, change_cost and full_restart are
+    # ProtocolEngine's, over these transport hooks; all of them are also
+    # reachable mid-run through schedule_event
     # ------------------------------------------------------------------
-    def fail_link(self, u: NodeId, v: NodeId) -> None:
-        """Remove the link ``(u, v)`` at the current virtual time.
+    def _publish(self, node_id: NodeId) -> None:
+        """Broadcast the node's publication delta, if nonempty, at the
+        current virtual time."""
+        delta = self.nodes[node_id].publication_delta()
+        if not delta.is_empty:
+            self._broadcast_delta(
+                node_id, RouteDelta(node_id, delta.updates, delta.withdrawals)
+            )
 
-        In-flight UPDATEs on the link are lost (its sessions are torn
-        down), pending MRAI rows die with the session, and both
-        endpoints drop what they learned over it and republish.
-        """
-        if v not in self.adjacency.get(u, ()):  # pragma: no cover - guard
-            raise ProtocolError(f"no live link between {u} and {v}")
-        self.adjacency[u].discard(v)
-        self.adjacency[v].discard(u)
-        self._reset_sessions(((u, v), (v, u)))
-        for link in ((u, v), (v, u)):
-            self._unsynced.discard(link)
-            self._discard_mrai_link(link)
-        for end, other in ((u, v), (v, u)):
-            node = self.nodes[end]
-            node.drop_neighbor(other)
-            node.decide()
-            delta = node.publication_delta()
-            if not delta.is_empty:
-                self._broadcast_delta(
-                    end, RouteDelta(end, delta.updates, delta.withdrawals)
-                )
-        self._restart_derived_state()
+    def _drop_link(self, link: Tuple[NodeId, NodeId]) -> None:
+        """A failed link's session dies: its in-flight UPDATEs are lost
+        and its pending MRAI rows are discarded."""
+        super()._drop_link(link)
+        self._reset_session(link)
+        self._discard_mrai_link(link)
+
+    def _reset_transport(self) -> None:
+        """Session-reset everything: drop all in-flight traffic and all
+        MRAI state (a full restart then republishes from scratch)."""
+        for link in list(self._sessions):
+            self._reset_session(link)
+        self._discard_all_mrai()
+
+    def _reset_session(self, link: Tuple[NodeId, NodeId]) -> None:
+        """Tear down *link*'s session, losing its in-flight UPDATEs; the
+        replacement keeps the FIFO clock."""
+        old = self._sessions[link]
+        old.up = False
+        self._sessions[link] = _Session(old.clock)
 
     def restore_link(self, u: NodeId, v: NodeId) -> None:
         """Re-add a previously failed link at the current virtual time.
@@ -700,39 +700,3 @@ class TimedEngine(ProtocolEngine):
                 table = self.nodes[sender].published_table()
                 self.rows_offered += len(table)
                 self._transmit((sender, receiver), table, len(table))
-
-    def _reset_sessions(self, links: Iterable[Tuple[NodeId, NodeId]]) -> None:
-        """Tear down the sessions of *links*, losing their in-flight
-        UPDATEs; each replacement keeps the FIFO clock."""
-        for link in links:
-            old = self._sessions[link]
-            old.up = False
-            self._sessions[link] = _Session(old.clock)
-
-    def change_cost(self, node_id: NodeId, cost: Cost) -> None:
-        """Node *node_id* re-declares its per-packet cost."""
-        node = self.nodes[node_id]
-        node.set_declared_cost(cost)
-        node.decide()
-        delta = node.publication_delta()
-        if not delta.is_empty:
-            self._broadcast_delta(
-                node_id, RouteDelta(node_id, delta.updates, delta.withdrawals)
-            )
-        self._restart_derived_state()
-
-    def full_restart(self) -> None:
-        """Session-reset everything: drop all in-flight traffic and all
-        MRAI state, forget learned routes, and republish from scratch at
-        the current virtual time."""
-        self._sanitize_baseline.clear()
-        self._sanitize_monotone_armed = True
-        self._reset_sessions(list(self._sessions))
-        self._discard_all_mrai()
-        for node_id, node in self.nodes.items():
-            node.restart()
-            delta = node.publication_delta()
-            if not delta.is_empty:
-                self._broadcast_delta(
-                    node_id, RouteDelta(node_id, delta.updates, delta.withdrawals)
-                )

@@ -49,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     protocol_help = (
         "BGP transport for protocol-aware experiments: delta (incremental "
-        "row exchanges; default), full (literal Sect. 5 full tables; "
+        "row exchanges; default), full (whole tables on every transmission; "
         "bit-identical to delta), or timed (discrete-event simulator with "
         "link jitter; same converged model, virtual time replaces stages)"
     )

@@ -25,6 +25,7 @@ from repro.core.price_node import PriceComputingNode, UpdateMode
 from repro.core.protocol import (
     DistributedPriceResult,
     VerificationReport,
+    staged_incremental,
     verify_against_centralized,
 )
 from repro.exceptions import ExperimentError
@@ -120,10 +121,10 @@ def dynamic_scenario(
     recomputing the mutated instance from scratch.
 
     *protocol* selects the BGP transport of the distributed network
-    under test: ``delta`` (incremental row exchanges, the default) or
-    ``full`` (literal Sect. 5 full tables); results are bit-identical
-    either way.
+    under test (:func:`~repro.core.protocol.staged_incremental`);
+    results are bit-identical either way.
     """
+    incremental = staged_incremental(protocol)
     policy = policy or LowestCostPolicy()
 
     def factory(node_id: NodeId, cost: Cost, pol: SelectionPolicy) -> PriceComputingNode:
@@ -139,7 +140,7 @@ def dynamic_scenario(
         graph,
         policy=policy,
         node_factory=factory,
-        incremental=protocol != "full",
+        incremental=incremental,
         obs=obs,
     )
     bgp.initialize()

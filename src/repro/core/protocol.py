@@ -122,6 +122,18 @@ class DistributedPriceResult:
         return self.report.stages
 
 
+def staged_incremental(protocol: str) -> bool:
+    """The staged engine's ``incremental`` flag for a transport name:
+    ``delta`` (row deltas, the default) or ``full`` (whole routing
+    tables on every transmission, the same step and decisions).  Any
+    other name raises :class:`MechanismError`."""
+    if protocol not in ("delta", "full"):
+        raise MechanismError(
+            f"unknown transport protocol {protocol!r}; expected 'delta' or 'full'"
+        )
+    return protocol == "delta"
+
+
 def distributed_mechanism(
     graph: ASGraph,
     mode: UpdateMode = UpdateMode.MONOTONE,
@@ -139,14 +151,10 @@ def distributed_mechanism(
     recorded; ``None`` reports to the global default observer iff
     observability is enabled.
 
-    *protocol* selects the BGP transport: ``delta`` (incremental row
-    exchanges, the default) or ``full`` (literal Sect. 5 full routing
-    tables); the converged result is bit-identical either way.
+    *protocol* selects the BGP transport (:func:`staged_incremental`);
+    the converged result is bit-identical either way.
     """
-    if protocol not in ("delta", "full"):
-        raise MechanismError(
-            f"unknown transport protocol {protocol!r}; expected 'delta' or 'full'"
-        )
+    incremental = staged_incremental(protocol)
     policy = policy or LowestCostPolicy()
     if sanitize.enabled():
         # Theorem 1 precondition: without biconnectivity some k-avoiding
@@ -161,7 +169,7 @@ def distributed_mechanism(
         graph,
         policy=policy,
         node_factory=factory,
-        incremental=protocol != "full",
+        incremental=incremental,
         obs=obs,
     )
     engine.initialize()

@@ -11,7 +11,7 @@ They are four cells of one 2x2 grid (substrate x events), so
 
 * ``protocol`` picks the substrate: ``"delta"`` (staged engine,
   incremental row transport -- the default), ``"full"`` (staged engine,
-  literal Sect. 5 full-table transport), or ``"timed"`` (the
+  whole tables on every transmission), or ``"timed"`` (the
   discrete-event simulator of :mod:`repro.bgp.timed`).
 * ``events`` picks static vs dynamic: ``None`` runs one convergence to
   quiescence; a sequence of :class:`~repro.bgp.events.NetworkEvent`

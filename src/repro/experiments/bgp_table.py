@@ -16,6 +16,7 @@ from repro.baselines.hopcount_bgp import route_stretch
 from repro.bgp.engine import SynchronousEngine
 from repro.bgp.timed import TimedEngine
 from repro.core.convergence import convergence_bound
+from repro.core.protocol import staged_incremental
 from repro.experiments.instances import standard_instances
 from repro.experiments.registry import ExperimentResult
 from repro.routing.allpairs import all_pairs_lcp
@@ -23,13 +24,13 @@ from repro.routing.allpairs import all_pairs_lcp
 
 def run(scale: str = "small", seed: int = 0, protocol: str = "delta") -> ExperimentResult:
     """*protocol* selects the transport: ``delta`` (incremental, the
-    default), ``full`` (the literal full-table model), or ``timed``
-    (the discrete-event simulator; virtual time replaces stages).  All
-    model measures are identical between delta and full; the rows
-    columns show what the delta transport saves."""
+    default), ``full`` (whole tables on every transmission), or
+    ``timed`` (the discrete-event simulator; virtual time replaces
+    stages).  All model measures are identical between delta and full;
+    the rows columns show what the delta transport saves."""
     if protocol == "timed":
         return _run_timed(scale, seed)
-    incremental = protocol != "full"
+    incremental = staged_incremental(protocol)
     substrate = Table(
         title=f"Plain BGP substrate (Sect. 5; {protocol} transport)",
         headers=[

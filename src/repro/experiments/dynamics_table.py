@@ -55,8 +55,12 @@ def run(
     *protocol* selects the BGP transport (``delta`` | ``full``).  Both
     are forwarded from the CLI's ``--engine`` / ``--protocol`` flags and
     never change the verdict -- every backend/transport is held to the
-    same bit-identical routes and tolerance-checked prices.
+    same bit-identical routes and tolerance-checked prices.  The stage
+    bounds need the staged engine, so under ``timed`` (which
+    ``repro-cli all --protocol timed`` forwards here) the script runs
+    on the ``delta`` transport.
     """
+    staged = "delta" if protocol == "timed" else protocol
     out = Table(
         title="Reconvergence under dynamics (Sect. 6)",
         headers=[
@@ -77,7 +81,7 @@ def run(
     for family, graph in standard_instances(scale, seed=seed):
         events = _script_for(graph)
         run_result = dynamic_scenario(
-            graph, events, engine=engine, protocol=protocol
+            graph, events, engine=engine, protocol=staged
         )
         for epoch in run_result.epochs:
             passed = passed and epoch.ok and epoch.within_bound

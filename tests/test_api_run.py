@@ -10,6 +10,7 @@ and the per-run ``sanitize=`` override.
 from __future__ import annotations
 
 import inspect
+import re
 
 import pytest
 
@@ -25,6 +26,7 @@ from repro.exceptions import (
     ProtocolError,
     SanitizerError,
 )
+from repro.experiments import bgp_table
 from repro.graphs.asgraph import ASGraph
 
 
@@ -139,6 +141,21 @@ class TestDispatchValidation:
     def test_asynchronous_rejects_full_protocol(self, fig1):
         with pytest.raises(MechanismError, match="protocol='full'"):
             api.run(fig1, asynchronous=True, protocol="full")
+
+    @pytest.mark.parametrize("protocol", ["timed", "bogus"])
+    def test_staged_runners_reject_unknown_transport(self, fig1, protocol):
+        # One transport-name check for every staged runner: none falls
+        # back to the delta transport.
+        match = re.escape(
+            f"unknown transport protocol '{protocol}'; expected 'delta' or 'full'"
+        )
+        with pytest.raises(MechanismError, match=match):
+            api.dynamic_scenario(fig1, [], protocol=protocol)
+        with pytest.raises(MechanismError, match=match):
+            api.distributed_mechanism(fig1, protocol=protocol)
+        if protocol != "timed":
+            with pytest.raises(MechanismError, match=match):
+                bgp_table.run(protocol=protocol)
 
     def test_asynchronous_honours_max_events(self, fig1):
         with pytest.raises(ConvergenceError):

@@ -125,6 +125,24 @@ class TestSynchronousDynamics:
         )
 
 
+class TestEventGuards:
+    """Both engines share the event handlers' guards: a dead link or an
+    unknown endpoint raises before any state changes."""
+
+    @pytest.mark.parametrize("engine_cls", [SynchronousEngine, TimedEngine])
+    def test_dead_link_and_unknown_endpoint(self, square, engine_cls):
+        engine = engine_cls(square)
+        engine.initialize()
+        engine.fail_link(0, 1)
+        with pytest.raises(ProtocolError, match="no live link between 0 and 1"):
+            engine.fail_link(0, 1)
+        with pytest.raises(ProtocolError, match="no live link between 1 and 0"):
+            engine.fail_link(1, 0)
+        with pytest.raises(ProtocolError, match=r"unknown endpoint on link \(0, 9\)"):
+            engine.restore_link(0, 9)
+        assert engine.adjacency == {0: {3}, 1: {2}, 2: {1, 3}, 3: {0, 2}}
+
+
 class TestAsynchronous:
     def test_matches_centralized_routes(self, small_random):
         engine = TimedEngine(small_random, seed=11)
