@@ -18,21 +18,27 @@ regresses:
    precomputed and shared so only the avoiding sweeps are compared.
 
 3. **Memory** (phase ``memory``).  At n = 1000 (ISP-like scaling
-   preset) the dict-materializing sweep must complete with a
-   tracemalloc peak under a bound derived from its own demand
-   accounting.  The phase also records the bytes the canonical route
-   trees hold once built (``routes_held_bytes``).
+   preset) ``FlatEngine().price_table`` -- the engine path, canonical
+   routes held as forest rows -- must complete with a tracemalloc peak
+   under a bound derived from the array path's own accounting: the
+   presets' bound plus the rows the routes hold.  The phase also
+   records the bytes the canonical routes hold once built
+   (``routes_held_bytes``).
 
 4. **Preset scaling** (phase ``presets``).  Every scaling preset is
-   priced end-to-end on the array-native path (demand read straight
-   from the canonical forest builder's arrays + inline sweep), each in
-   a child process of its own, one at a time, recording wall-clock,
-   peak tracemalloc gated against a bound derived from the preset's
-   own demand accounting, and that child's peak RSS.  By default the
-   phase covers n <= 2000;
+   priced end-to-end on the array-native path (``demand_from_routes``
+   over ``canonical_routes``, which reads the forest rows, + inline
+   sweep), recording wall-clock, peak tracemalloc gated against a
+   bound derived from the preset's own demand accounting, and peak
+   RSS.  By default the phase covers n <= 2000;
    ``--full-presets`` extends it to n = 5000 and n = 10000 (the
    internet-scale floor -- minutes of wall-clock, run to refresh the
    committed artifact rather than per-CI).
+
+The memory preset and every scaling preset are priced in a spawned
+child process of their own, one at a time, and record that child's
+peak RSS.  Their timings are taken untraced; the tracemalloc peak comes
+from a separate pass, after the RSS is read.
 
 ``--phases`` selects a comma-separated subset; the output document
 *merges* into an existing ``BENCH_flat.json`` (phases of ``ALL_PHASES``
@@ -68,7 +74,7 @@ import resource
 import time
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import EngineError, MechanismError, NotBiconnectedError
 from repro.graphs.asgraph import ASGraph
@@ -88,6 +94,7 @@ if TYPE_CHECKING:  # annotations only; numpy/scipy load at call time
 
     from repro.mechanism.vcg import PriceRow
     from repro.routing.allpairs import AllPairsRoutes
+    from repro.routing.flatsweep import FlatSweepStats
 
 #: The acceptance bar: flat sweep vs the legacy k-major sweep at n = 500.
 SPEEDUP_FLOOR = 5.0
@@ -97,6 +104,10 @@ IDENTITY_LEGACY_N = 200
 SPEEDUP_N = 500
 SPEEDUP_QUICK_N = 200
 MEMORY_PRESET = "isp-like-1000"
+
+#: Bytes per (destination, node) slot that canonical routes hold: an
+#: int32 parent and an int32 hop count next to a float64 cost.
+HELD_ROW_BYTES = 16
 
 #: Preset sizes covered by the default ``presets`` phase vs by
 #: ``--full-presets`` (the n >= 5000 rows take minutes; they are
@@ -143,6 +154,43 @@ def _peak_rss_bytes() -> int:
     except OSError:
         pass
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+
+
+def _in_child(function: Callable[..., Dict[str, Any]], *args: Any) -> Dict[str, Any]:
+    """Run *function* in a freshly spawned child process of its own,
+    so the peak RSS it records is its own."""
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=1, mp_context=spawn) as child:
+        return child.submit(function, *args).result()
+
+
+def _traced_peak(run: Callable[[], Any]) -> int:
+    """Peak tracemalloc bytes of one call of *run*."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _array_path_bound(graph: ASGraph, stats: "FlatSweepStats") -> int:
+    """The array path's tracemalloc bound, from its own accounting.
+
+    No dict assembly term: one forest block (per-edge candidate arrays,
+    ~17B per directed-edge slot; the distance, parent, cost and hop
+    rows plus the level-wise accumulation transients, ~80B per node
+    slot), the demand arrays (two orders plus pre-gathered solve
+    columns, ~56B/entry with concatenation transients), and a few live
+    distance blocks.
+    """
+    from repro.routing.forest import _BLOCK_ELEMENTS
+
+    n = graph.num_nodes
+    block_bytes = 8 * n * stats.max_block_rows
+    forest_rows = max(1, _BLOCK_ELEMENTS // (2 * graph.num_edges))
+    forest_bytes = forest_rows * (17 * 2 * graph.num_edges + 80 * n)
+    return 64_000_000 + 4 * block_bytes + 2 * forest_bytes + 96 * stats.entries
 
 
 # ----------------------------------------------------------------------
@@ -330,7 +378,7 @@ def vcg_price_rows(
 def run_identity_phase() -> Dict[str, Any]:
     from repro.routing.allpairs import all_pairs_lcp
     from repro.routing.engines import get_engine
-    from repro.routing.engines.flat import flat_price_rows
+    from repro.routing.flatsweep import flat_price_arrays
 
     problems: List[str] = []
 
@@ -351,7 +399,7 @@ def run_identity_phase() -> Dict[str, Any]:
     )
     routes = all_pairs_lcp(legacy_graph)
     legacy_rows = vcg_price_rows(legacy_graph, routes)
-    flat_rows = flat_price_rows(legacy_graph, routes)
+    flat_rows = flat_price_arrays(legacy_graph, routes).to_rows()
     problems += [
         f"legacy n={IDENTITY_LEGACY_N}: {p}"
         for p in _tables_agree(legacy_rows, flat_rows)
@@ -368,7 +416,7 @@ def run_identity_phase() -> Dict[str, Any]:
 
 def run_speedup_phase(n: int) -> Dict[str, Any]:
     from repro.routing.allpairs import all_pairs_lcp
-    from repro.routing.engines.flat import FlatSweepStats, flat_price_rows
+    from repro.routing.flatsweep import FlatSweepStats, flat_price_arrays
 
     graph = isp_like_graph(n, seed=0, cost_sampler=integer_costs(1, 6))
     # Shared, precomputed routes: path selection is identical work for
@@ -383,7 +431,7 @@ def run_speedup_phase(n: int) -> Dict[str, Any]:
 
     stats = FlatSweepStats()
     flat_start = time.perf_counter()
-    flat_rows = flat_price_rows(graph, routes, stats=stats)
+    flat_rows = flat_price_arrays(graph, routes, stats=stats).to_rows()
     flat_seconds = time.perf_counter() - flat_start
 
     problems = _tables_agree(legacy_rows, flat_rows)
@@ -401,40 +449,40 @@ def run_speedup_phase(n: int) -> Dict[str, Any]:
     }
 
 
-def run_memory_phase() -> Dict[str, Any]:
-    from repro.routing.allpairs import all_pairs_lcp
-    from repro.routing.engines.flat import FlatSweepStats, flat_price_rows
+def _price_memory_preset() -> Dict[str, Any]:
+    """Price the memory preset through ``FlatEngine().price_table``.
+
+    Called in a child process of its own (:func:`run_memory_phase`).
+    The timings come from the engine's own spans, untraced, and the
+    peak RSS is read right after that pass; the accounting and the
+    tracemalloc peak come from separate passes.
+    """
+    import repro.obs as obs
+    from repro.routing.engines import FlatEngine
+    from repro.routing.flatsweep import FlatSweepStats, flat_price_arrays
     from repro.routing.forest import canonical_routes
 
     graph = scaling_graph(MEMORY_PRESET)
     n = graph.num_nodes
-    routes_start = time.perf_counter()
-    routes = all_pairs_lcp(graph)
-    routes_seconds = time.perf_counter() - routes_start
+    observer = obs.Obs()
+    table = FlatEngine().price_table(graph, obs=observer)
+    rss_peak_bytes = _peak_rss_bytes()
+    # The bound's accounting: the sweep's own stats over the same routes.
+    stats = FlatSweepStats()
+    flat_price_arrays(graph, table.routes, stats=stats)
+    pairs_priced = table.num_pairs
+    del table
 
-    # What the route trees keep alive once built: the canonical builder
-    # (the flat engine's routes, identical to the ones above) run under
-    # tracemalloc, read while its result is still referenced.
+    # What the canonical routes keep alive once built -- the forest's
+    # rows -- read while the routes are still referenced.
     tracemalloc.start()
     held_routes = canonical_routes(graph)
     routes_held_bytes, _peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     del held_routes
 
-    stats = FlatSweepStats()
-    tracemalloc.start()
-    sweep_start = time.perf_counter()
-    rows = flat_price_rows(graph, routes, stats=stats)
-    sweep_seconds = time.perf_counter() - sweep_start
-    _current, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-
-    # The bound is the sweep's own accounting, not a magic constant: a
-    # few live distance blocks (max_block_rows * n doubles), the flat
-    # demand/price arrays, and the per-entry Python result assembly
-    # (dict-of-dicts, ~400 bytes/entry of interpreter overhead).
-    block_bytes = 8 * n * stats.max_block_rows
-    demand_bound = 64_000_000 + 4 * block_bytes + 400 * stats.entries
+    peak = _traced_peak(lambda: FlatEngine().price_table(graph))
+    demand_bound = _array_path_bound(graph, stats) + HELD_ROW_BYTES * n * n
     # What the alternatives would have held alive at minimum:
     dense_cache_bytes = stats.solves * 8 * n * n  # one matrix per k
     cubic_bytes = 8 * n * n * n  # the O(n^3) strawman
@@ -442,79 +490,84 @@ def run_memory_phase() -> Dict[str, Any]:
         "preset": MEMORY_PRESET,
         "n": n,
         "edges": graph.num_edges,
-        "pairs_priced": len(rows),
-        "routes_seconds": round(routes_seconds, 4),
+        "pairs_priced": pairs_priced,
+        "routes_seconds": round(
+            observer.span_stats(obs.names.SPAN_ENGINE_ALL_PAIRS)[1], 4
+        ),
+        "price_seconds": round(
+            observer.span_stats(obs.names.SPAN_ENGINE_PRICE_TABLE)[1], 4
+        ),
         "routes_held_bytes": routes_held_bytes,
-        "sweep_seconds": round(sweep_seconds, 4),
         "sweep_stats": stats.__dict__.copy(),
         "tracemalloc_peak_bytes": peak,
         "demand_bound_bytes": demand_bound,
         "dense_cache_bytes": dense_cache_bytes,
         "cubic_bytes": cubic_bytes,
+        "rss_peak_bytes": rss_peak_bytes,
         "within_bound": peak < demand_bound,
-        "note": "sweep timed under tracemalloc; wall-clock without it is lower",
+        "note": (
+            "price_seconds (routes included) from the engine's spans, "
+            "untraced; tracemalloc peak from a separate pass; rss_peak_bytes "
+            "is the peak RSS of the child process, read before the traced pass"
+        ),
     }
+
+
+def run_memory_phase() -> Dict[str, Any]:
+    return _in_child(_price_memory_preset)
 
 
 def _price_preset(preset: str) -> Dict[str, Any]:
     """Price one scaling preset end-to-end on the array-native path.
 
-    Demand comes straight from the canonical forest builder's
-    per-block parent/cost arrays -- exact canonical routes, with no
+    Demand comes from :func:`~repro.routing.flatsweep.demand_from_routes`
+    over :func:`~repro.routing.forest.canonical_routes`, which reads the
+    forest rows the routes hold -- exact canonical routes, with no
     ``RouteTree`` objects -- the sweep runs inline, and nothing
     materializes per-entry Python objects; this is the large-instance
-    configuration the ROADMAP's internet-scale item needs.  Peak
-    tracemalloc is gated against a bound derived from the preset's own
-    demand accounting.  Called in a child process of its own, so the
-    recorded peak RSS is this preset's alone.
+    configuration the ROADMAP's internet-scale item needs.  Called in a
+    child process of its own: the timed pass runs untraced and the peak
+    RSS is read after it, then a second pass takes the tracemalloc
+    peak, gated against a bound derived from the preset's own demand
+    accounting.
     """
     from repro.routing.flatgraph import build_flat_graph
     from repro.routing.flatsweep import (
         FlatSweepStats,
-        canonical_demand,
+        demand_from_routes,
         sweep_demand,
     )
-    from repro.routing.forest import _BLOCK_ELEMENTS
+    from repro.routing.forest import canonical_routes
 
     graph = scaling_graph(preset)
-    n = graph.num_nodes
     flat = build_flat_graph(graph)
+
+    def build_demand() -> Any:
+        return demand_from_routes(graph, canonical_routes(graph, flat), flat)
+
     stats = FlatSweepStats()
-    tracemalloc.start()
     demand_start = time.perf_counter()
-    demand = canonical_demand(graph, flat)
+    demand = build_demand()
     demand_seconds = time.perf_counter() - demand_start
     sweep_start = time.perf_counter()
     arrays = sweep_demand(demand, stats=stats)
     sweep_seconds = time.perf_counter() - sweep_start
-    _current, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
+    rss_peak_bytes = _peak_rss_bytes()
+    pairs_priced = arrays.num_pairs
+    del demand, arrays
 
-    # Demand-derived bound, no dict assembly term: one forest block
-    # (per-edge candidate arrays, ~17B per directed-edge slot; the
-    # distance, parent, cost and hop rows plus the level-wise
-    # accumulation transients, ~80B per node slot), the demand
-    # arrays (two orders plus pre-gathered solve columns, ~56B/entry
-    # with concatenation transients), and a few live distance blocks.
-    block_bytes = 8 * n * stats.max_block_rows
-    forest_rows = max(1, _BLOCK_ELEMENTS // (2 * graph.num_edges))
-    forest_bytes = forest_rows * (17 * 2 * graph.num_edges + 80 * n)
-    demand_bound = (
-        64_000_000
-        + 4 * block_bytes
-        + 2 * forest_bytes
-        + 96 * stats.entries
-    )
+    peak = _traced_peak(lambda: sweep_demand(build_demand()))
+    demand_bound = _array_path_bound(graph, stats)
     return {
-        "n": n,
+        "n": graph.num_nodes,
         "edges": graph.num_edges,
-        "pairs_priced": arrays.num_pairs,
+        "pairs_priced": pairs_priced,
         "demand_seconds": round(demand_seconds, 4),
         "sweep_seconds": round(sweep_seconds, 4),
         "sweep_stats": stats.__dict__.copy(),
         "tracemalloc_peak_bytes": peak,
         "demand_bound_bytes": demand_bound,
-        "rss_peak_bytes": _peak_rss_bytes(),
+        "rss_peak_bytes": rss_peak_bytes,
         "within_bound": peak < demand_bound,
     }
 
@@ -528,18 +581,14 @@ def run_presets_phase(sizes: Sequence[int]) -> Dict[str, Any]:
         for family in ("barabasi-albert", "isp-like")
         if f"{family}-{n}" in SCALING_PRESETS
     ]
-    spawn = multiprocessing.get_context("spawn")
-    rows: Dict[str, Any] = {}
-    for preset in presets:
-        with ProcessPoolExecutor(max_workers=1, mp_context=spawn) as child:
-            rows[preset] = child.submit(_price_preset, preset).result()
     return {
         "sizes": sorted(sizes),
-        "demand": "canonical forest arrays (exact canonical routes)",
-        "rows": rows,
+        "demand": "demand_from_routes over canonical_routes (forest rows, exact canonical routes)",
+        "rows": {preset: _in_child(_price_preset, preset) for preset in presets},
         "note": (
-            "timed under tracemalloc; rss_peak_bytes is the peak RSS of "
-            "the child process that priced the preset"
+            "timed untraced; tracemalloc peak from a separate pass; "
+            "rss_peak_bytes is the peak RSS of the child process that "
+            "priced the preset, read before the traced pass"
         ),
     }
 
@@ -673,10 +722,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(
             f"n={memory['n']}: canonical routes hold "
             f"{memory['routes_held_bytes'] / 2**20:.1f} MiB; "
-            f"sweep {memory['sweep_seconds']}s under "
-            f"tracemalloc, peak {memory['tracemalloc_peak_bytes'] / 1e6:.0f} MB "
+            f"price_table {memory['price_seconds']}s (routes "
+            f"{memory['routes_seconds']}s), peak "
+            f"{memory['tracemalloc_peak_bytes'] / 1e6:.0f} MB "
             f"(bound {memory['demand_bound_bytes'] / 1e6:.0f} MB, dense cache "
-            f"would hold {memory['dense_cache_bytes'] / 1e9:.1f} GB)"
+            f"would hold {memory['dense_cache_bytes'] / 1e9:.1f} GB), "
+            f"rss {memory['rss_peak_bytes'] / 1e6:.0f} MB"
         )
     if "presets" in phases:
         for preset, row in phases["presets"]["rows"].items():
@@ -698,16 +749,16 @@ def main(argv: Optional[List[str]] = None) -> int:
 # ----------------------------------------------------------------------
 def test_bench_flat_sweep(benchmark):
     from repro.routing.allpairs import all_pairs_lcp
-    from repro.routing.engines.flat import FlatSweepStats, flat_price_rows
+    from repro.routing.flatsweep import FlatSweepStats, flat_price_arrays
 
     graph = isp_like_graph(96, seed=0, cost_sampler=integer_costs(1, 6))
     routes = all_pairs_lcp(graph)
 
-    flat_rows = benchmark(lambda: flat_price_rows(graph, routes))
+    flat_rows = benchmark(lambda: flat_price_arrays(graph, routes).to_rows())
 
     assert not _tables_agree(vcg_price_rows(graph, routes), flat_rows)
     stats = FlatSweepStats()
-    flat_price_rows(graph, routes, stats=stats)
+    flat_price_arrays(graph, routes, stats=stats)
     # demand restriction + symmetric orientation must actually engage
     assert stats.rows < stats.solves * graph.num_nodes
     assert stats.max_block_rows < graph.num_nodes

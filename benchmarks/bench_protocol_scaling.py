@@ -14,9 +14,13 @@ measure (stages, messages, entries) is identical, and records the
 transport-level difference: rows actually transmitted and wall-clock.
 ``speedup`` thus compares whole-table receipt with delta receipt alone
 and sits near 1x; it read 1.5--3.6x while ``full`` still decided every
-node every stage.  The document's ``host`` block (CPU count, Python and
-numpy versions) says which machine the wall times belong to; the
-counts do not depend on it.  Output goes to ``BENCH_protocol.json``
+node every stage.  Each transport runs ``REPEATS`` times per
+configuration, full and delta alternating: ``wall_s`` is the median
+run, ``wall_s_min`` / ``wall_s_max`` the range, ``speedup`` the ratio
+of the medians, and every count must be identical across the repeats.
+The document's ``host`` block (CPU count, Python and numpy versions)
+says which machine the wall times belong to; the counts do not depend
+on it.  Output goes to ``BENCH_protocol.json``
 (``make bench-protocol`` writes it at the repo root), so the perf
 trajectory of the substrate is tracked in-repo.
 
@@ -36,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -64,6 +69,10 @@ FULL_SIZES: Tuple[int, ...] = (16, 36, 64, 100, 144, 200)
 
 WORKLOADS: Tuple[str, ...] = ("plain", "price")
 FAMILIES: Tuple[str, ...] = ("isp", "grid")
+
+#: Runs of each transport per configuration.  One run takes 5-500 ms,
+#: so a single sample let host noise set ``speedup``.
+REPEATS = 5
 
 
 def _price_factory(node_id: NodeId, cost: Cost, policy: SelectionPolicy):
@@ -97,11 +106,31 @@ def _run_once(graph: ASGraph, workload: str, incremental: bool) -> Dict[str, Any
     }
 
 
+def _median_run(runs: List[Dict[str, Any]]) -> Dict[str, Any]:
+    """One transport's record over its repeats: the counts, which must
+    not differ between runs, and the median wall time with its range."""
+    counts = [{key: value for key, value in run.items() if key != "wall_s"} for run in runs]
+    if any(other != counts[0] for other in counts[1:]):
+        raise RuntimeError(f"counts differ across repeats: {counts}")
+    walls = sorted(run["wall_s"] for run in runs)
+    return {
+        **counts[0],
+        "wall_s": statistics.median(walls),
+        "wall_s_min": walls[0],
+        "wall_s_max": walls[-1],
+    }
+
+
 def run_config(family: str, workload: str, n: int, seed: int = 0) -> Dict[str, Any]:
-    """Run both transports on one configuration; returns the record."""
+    """Run both transports ``REPEATS`` times each, alternating, on one
+    configuration; returns the record."""
     graph = _make_graph(family, n, seed)
-    full = _run_once(graph, workload, incremental=False)
-    delta = _run_once(graph, workload, incremental=True)
+    runs: Dict[bool, List[Dict[str, Any]]] = {False: [], True: []}
+    for _ in range(REPEATS):
+        for incremental in (False, True):
+            runs[incremental].append(_run_once(graph, workload, incremental))
+    full = _median_run(runs[False])
+    delta = _median_run(runs[True])
     model_identical = all(
         full[key] == delta[key] for key in ("stages", "messages", "entries_sent")
     )
@@ -140,6 +169,7 @@ def run_suite(quick: bool = True, seed: int = 0) -> Dict[str, Any]:
         "benchmark": "protocol_scaling",
         "mode": "quick" if quick else "full",
         "seed": seed,
+        "repeats": REPEATS,
         "generated": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "host": host_facts(),
         "results": results,

@@ -19,7 +19,8 @@ Key modules:
   (parents and cost labels; a path is a walk up the parents).
 * :mod:`repro.routing.allpairs` -- all-pairs routes (n trees).
 * :mod:`repro.routing.forest` -- the same n trees, bit-identical, built
-  in batches from scipy distances (the ``flat`` engine's routes).
+  in batches from scipy distances and held as dense rows, a tree built
+  only when asked for (the ``flat`` engine's routes).
 * :mod:`repro.routing.avoiding` -- lowest-cost k-avoiding paths, the
   second ingredient of the VCG price.
 * :mod:`repro.routing.engines` -- the unified engine registry

@@ -7,7 +7,7 @@ destination trees, which is also exactly the state BGP distributes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterator, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, Mapping, Optional, Tuple
 
 import repro.obs as obs_mod
 from repro.devtools import sanitize as sanitize_checks
@@ -23,10 +23,17 @@ if TYPE_CHECKING:  # pragma: no cover - import-light at runtime
 
 @dataclass(frozen=True)
 class AllPairsRoutes:
-    """Selected LCPs for every ordered source-destination pair."""
+    """Selected LCPs for every ordered source-destination pair.
+
+    ``trees`` maps each destination to its route tree in ``graph.nodes``
+    order, in one of two forms: a dict of built trees (the reference
+    and incremental engines), or the ``flat`` engine's read-only
+    :class:`~repro.routing.forest.ForestTrees`, which holds the
+    canonical forest's dense rows and builds a tree only when asked.
+    """
 
     graph: ASGraph
-    trees: Dict[NodeId, RouteTree]
+    trees: Mapping[NodeId, RouteTree]
 
     @property
     def paths(self) -> Dict[Tuple[NodeId, NodeId], PathTuple]:

@@ -31,7 +31,7 @@ from typing import Dict, List, Tuple, Type, Union
 
 from repro.exceptions import EngineError
 from repro.routing.engines.base import CostMatrix, Engine
-from repro.routing.engines.flat import FlatEngine, FlatSweepStats, flat_price_rows
+from repro.routing.engines.flat import FlatEngine, FlatSweepStats
 from repro.routing.engines.incremental import CacheStats, IncrementalEngine
 from repro.routing.engines.reference import ReferenceEngine
 
@@ -45,7 +45,6 @@ __all__ = [
     "IncrementalEngine",
     "ReferenceEngine",
     "engine_names",
-    "flat_price_rows",
     "get_engine",
     "register",
     "resolve_engine",

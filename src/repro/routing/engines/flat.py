@@ -6,9 +6,11 @@ prices are defined relative to them -- bit-identical to the reference
 (same paths, same cost floats, same dict order), but built in batches
 from scipy distances by :mod:`repro.routing.forest`, with destinations
 whose ties the distances cannot resolve handed to the reference
-kernel.  The avoiding sweep differs from the reference in three ways
-that move the feasible instance size from hundreds of nodes past ten
-thousand:
+kernel.  The routes hold the forest's dense rows and build a
+destination's tree only when asked for it, so ``price_table`` builds
+no tree beyond those tie fallbacks.  The avoiding sweep differs from
+the reference in three ways that move the feasible instance size from
+hundreds of nodes past ten thousand:
 
 1. **One-shot CSR, O(deg(k)) masking.**  The directed
    ``w(u -> v) = c_v`` reduction is built once per graph epoch as flat
@@ -19,9 +21,10 @@ thousand:
 2. **Vectorized inversion + demand restriction with symmetric
    orientation.**  The canonical routes are inverted into the transit
    relation ``k -> {(i, j) : k transit on P(c; i, j)}`` by numpy
-   path-unrolling over dense parent arrays -- no per-(source,
-   destination) Python iteration
-   (:func:`repro.routing.flatsweep.demand_from_routes`).  Under the
+   path-unrolling over the forest's dense parent rows -- no
+   per-(source, destination) Python iteration
+   (:func:`repro.routing.flatsweep.demand_from_routes`, the one demand
+   builder).  Under the
    reduction the *transit* cost of a detour is direction-independent,
    so each *unordered* demanded pair needs only one distance row; every
    pair is oriented onto the endpoint that covers the most pairs of
@@ -60,7 +63,7 @@ span/counter surface.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, ClassVar, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, ClassVar, Optional
 
 import repro.obs as obs_mod
 from repro.devtools import sanitize
@@ -69,32 +72,12 @@ from repro.obs import names as metric_names
 from repro.routing.engines.base import Engine
 from repro.routing.flatsweep import FlatSweepStats, flat_price_arrays
 from repro.routing.forest import ForestStats, canonical_routes
-from repro.types import NodeId
 
 if TYPE_CHECKING:  # pragma: no cover - import-light at runtime
-    from repro.mechanism.vcg import PriceRow, PriceTable
+    from repro.mechanism.vcg import PriceTable
     from repro.routing.allpairs import AllPairsRoutes
 
-__all__ = ["FlatEngine", "FlatSweepStats", "flat_price_rows"]
-
-
-def flat_price_rows(
-    graph: ASGraph,
-    routes: Optional["AllPairsRoutes"] = None,
-    *,
-    stats: Optional[FlatSweepStats] = None,
-) -> Dict[Tuple[NodeId, NodeId], "PriceRow"]:
-    """Theorem 1 price rows via the batched sweep, as a plain dict.
-
-    Returns ``(source, destination) -> {k: price}`` with the same
-    contents as ``dict(compute_price_table(graph, engine="flat").rows)``
-    (direct-link pairs omitted); *stats*, when given, is filled with the
-    sweep's work accounting.  A dict helper for tests and benchmarks:
-    it is :func:`repro.routing.flatsweep.flat_price_arrays` plus
-    :meth:`~repro.routing.flatsweep.FlatPriceArrays.to_rows`, which no
-    engine calls.
-    """
-    return flat_price_arrays(graph, routes, stats=stats).to_rows()
+__all__ = ["FlatEngine", "FlatSweepStats"]
 
 
 class FlatEngine(Engine):

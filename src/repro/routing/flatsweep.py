@@ -3,14 +3,15 @@
 This module is the core of the ``flat`` engine.  It owns the two
 moves that take the Theorem 1 price sweep past n = 10,000:
 
-1. **Vectorized inversion.**  The canonical routes -- given as
-   :class:`~repro.routing.allpairs.AllPairsRoutes`, or read straight
-   from the canonical forest builder's per-block parent/cost arrays
-   (:mod:`repro.routing.forest`) when no routes are passed -- are
-   flattened into per-transit-node demand by numpy path-unrolling over
-   dense parent arrays (:func:`demand_from_routes` /
-   :func:`canonical_demand`, one shared inversion) -- no per-(source,
-   destination) Python iteration.  The resulting
+1. **Vectorized inversion.**  One demand builder,
+   :func:`demand_from_routes`, flattens the canonical routes into
+   per-transit-node demand by numpy path-unrolling over dense parent
+   rows -- no per-(source, destination) Python iteration.  Routes from
+   the canonical forest builder (:mod:`repro.routing.forest`, the
+   ``flat`` engine's ``all_pairs``) already hold those rows and are
+   read as they are; routes held as dicts of trees (the reference and
+   incremental engines) are densified a block of destinations at a
+   time first.  The resulting
    :class:`FlatDemand` keeps every demanded ``(i, j, k)`` entry in the
    reference engine's scan order (destination ascending, source
    ascending, transit in path order), so an entry's position *is* its
@@ -27,9 +28,7 @@ moves that take the Theorem 1 price sweep past n = 10,000:
    (:class:`FlatPriceArrays`) whose columns are, as they are, the
    :class:`~repro.mechanism.vcg.PriceTable` every engine returns;
    nothing per-entry touches a Python dict.  The dict-of-dicts
-   :meth:`FlatPriceArrays.to_rows` is no engine's path: it backs
-   :func:`repro.routing.engines.flat.flat_price_rows`, a dict helper
-   for tests and benchmarks.
+   :meth:`FlatPriceArrays.to_rows` is no engine's path.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 from repro.exceptions import MechanismError, NotBiconnectedError
 from repro.graphs.asgraph import ASGraph
 from repro.routing.flatgraph import FlatGraph, build_flat_graph
-from repro.routing.forest import canonical_forest, densify_tree
+from repro.routing.forest import ForestTrees, canonical_routes, densify_tree
 from repro.types import Cost, NodeId
 
 if TYPE_CHECKING:  # pragma: no cover - import-light at runtime
@@ -54,7 +53,6 @@ __all__ = [
     "FlatDemand",
     "FlatPriceArrays",
     "FlatSweepStats",
-    "canonical_demand",
     "demand_from_routes",
     "flat_price_arrays",
     "sweep_demand",
@@ -154,7 +152,6 @@ class FlatPriceArrays:
     node_ids: np.ndarray = field(repr=False)
     pair_src: np.ndarray = field(repr=False)
     pair_dst: np.ndarray = field(repr=False)
-    pair_lcp: np.ndarray = field(repr=False)
     pair_offset: np.ndarray = field(repr=False)
     entry_k: np.ndarray = field(repr=False)
     #: per entry, sequence order: the Theorem 1 price ``p^k_ij``.
@@ -174,9 +171,7 @@ class FlatPriceArrays:
 
         One bulk ``tolist`` per column and one ``dict(zip(...))`` per
         pair.  No engine calls this: the ``PriceTable`` reads these
-        arrays directly.  It backs
-        :func:`repro.routing.engines.flat.flat_price_rows`, the dict
-        helper of the tests and benchmarks.
+        arrays directly.
         """
         src_ids = self.node_ids[self.pair_src].tolist()
         dst_ids = self.node_ids[self.pair_dst].tolist()
@@ -338,13 +333,21 @@ def demand_from_routes(
 ) -> FlatDemand:
     """Invert the canonical routes into per-transit-node demand.
 
-    Route trees are densified a block of destinations at a time
+    Routes built by :func:`repro.routing.forest.canonical_routes` are
+    read from the forest rows they hold, building no tree.  Any other
+    routes are densified a block of destinations at a time
     (:func:`repro.routing.forest.densify_tree`, the only Python-level
-    work) and handed to the same inversion :func:`canonical_demand`
-    uses.
+    work).  Both feed the same inversion.
     """
     flat = flat if flat is not None else build_flat_graph(graph)
-    return _demand_from_blocks(flat, _route_blocks(routes, flat))
+    trees = routes.trees
+    if isinstance(trees, ForestTrees):
+        blocks: Iterable[_ForestRows] = (
+            (block.destinations, block.parent, block.cost) for block in trees.blocks
+        )
+    else:
+        blocks = _route_blocks(routes, flat)
+    return _demand_from_blocks(flat, blocks)
 
 
 def _route_blocks(routes: "AllPairsRoutes", flat: FlatGraph) -> Iterator[_ForestRows]:
@@ -358,30 +361,6 @@ def _route_blocks(routes: "AllPairsRoutes", flat: FlatGraph) -> Iterator[_Forest
         for row, destination in enumerate(node_ids[destinations].tolist()):
             densify_tree(routes.tree(destination), node_ids, parent[row], cost[row])
         yield destinations, parent, cost
-
-
-def canonical_demand(
-    graph: ASGraph,
-    flat: Optional[FlatGraph] = None,
-) -> FlatDemand:
-    """Per-transit-node demand straight from the canonical forest.
-
-    Reads the per-block parent/cost arrays of
-    :func:`repro.routing.forest.canonical_forest` without building a
-    single :class:`~repro.routing.dijkstra.RouteTree` (beyond the
-    builder's tie fallbacks), so the demand equals
-    ``demand_from_routes(graph, all_pairs_lcp(graph))`` bit for bit at
-    a fraction of the memory -- the configuration the 10k-node presets
-    price in.
-    """
-    flat = flat if flat is not None else build_flat_graph(graph)
-    return _demand_from_blocks(
-        flat,
-        (
-            (block.destinations, block.parent, block.cost)
-            for block in canonical_forest(graph, flat)
-        ),
-    )
 
 
 def _concat(parts: List[np.ndarray], dtype: type) -> np.ndarray:
@@ -530,7 +509,6 @@ def sweep_demand(
         node_ids=demand.flat.node_ids,
         pair_src=demand.pair_src,
         pair_dst=demand.pair_dst,
-        pair_lcp=demand.pair_lcp,
         pair_offset=demand.pair_offset,
         entry_k=demand.entry_k,
         prices=prices,
@@ -546,17 +524,13 @@ def flat_price_arrays(
 ) -> FlatPriceArrays:
     """Theorem 1 prices as flat arrays: demand inversion + sweep.
 
-    The end-to-end array-native path: the canonical routes are inverted
-    into demand -- from *routes* with :func:`demand_from_routes`, or,
-    when none are given, straight from the canonical forest with
-    :func:`canonical_demand` -- and priced by :func:`sweep_demand`.
-    The result prices exactly the pairs
-    :func:`repro.routing.engines.flat.flat_price_rows` would, without
-    materializing any per-entry Python structure, in the layout of
+    The end-to-end array-native path: the canonical routes -- *routes*,
+    or :func:`repro.routing.forest.canonical_routes` when none are
+    given -- are inverted into demand by :func:`demand_from_routes` and
+    priced by :func:`sweep_demand`, without materializing any per-entry
+    Python structure, in the layout of
     :class:`~repro.mechanism.vcg.PriceTable`.
     """
     if routes is None:
-        demand = canonical_demand(graph)
-    else:
-        demand = demand_from_routes(graph, routes)
-    return sweep_demand(demand, stats=stats)
+        routes = canonical_routes(graph)
+    return sweep_demand(demand_from_routes(graph, routes), stats=stats)

@@ -29,17 +29,21 @@ batched solve:
 
 Blocks hold ``_BLOCK_ELEMENTS`` over ``2m`` destinations each, so the
 per-edge candidate arrays stay a fixed size whatever the graph.
-:func:`canonical_forest` yields the blocks as arrays (the demand
-inversion in :mod:`repro.routing.flatsweep` reads them without building
-one :class:`RouteTree`); :func:`canonical_routes` turns them into the
-:class:`~repro.routing.allpairs.AllPairsRoutes` the ``flat`` engines
-return from ``all_pairs``.
+:func:`canonical_routes` keeps every block's rows -- int32 parents and
+hop counts next to float64 costs, ``16 n^2`` bytes in all -- and
+returns them as the :class:`~repro.routing.allpairs.AllPairsRoutes`
+the ``flat`` engine returns from ``all_pairs``.  Its ``trees`` is a
+read-only :class:`ForestTrees` view that builds a destination's
+:class:`RouteTree` from its row only when someone asks for it; the one
+demand builder, :func:`repro.routing.flatsweep.demand_from_routes`,
+reads the rows themselves, so pricing builds no tree beyond the tie
+fallbacks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -55,7 +59,7 @@ from repro.types import NodeId
 __all__ = [
     "ForestBlock",
     "ForestStats",
-    "canonical_forest",
+    "ForestTrees",
     "canonical_routes",
     "densify_tree",
 ]
@@ -82,13 +86,13 @@ class ForestBlock:
     """The canonical trees of consecutive destinations, as dense arrays.
 
     Row ``b`` describes ``T(destinations[b])`` over dense node indices:
-    ``parent[b, i]`` is ``i``'s next hop (``-1`` at the root) and
-    ``cost[b, i]`` its transit cost (bit-identical to the reference
+    ``parent[b, i]`` (int32) is ``i``'s next hop (``-1`` at the root)
+    and ``cost[b, i]`` its transit cost (bit-identical to the reference
     label, ``0.0`` at the root).  ``trees`` holds the kernel-built
     :class:`RouteTree` of every row that fell back; those rows'
-    parents and costs are filled from it, and ``hops[b, i]`` -- the
-    hop count, which orders a resolved row -- is kept for resolved
-    rows only.
+    parents and costs are filled from it, and ``hops[b, i]`` (int32)
+    -- the hop count, which orders a resolved row -- is kept for
+    resolved rows only.
     """
 
     destinations: np.ndarray
@@ -96,42 +100,6 @@ class ForestBlock:
     cost: np.ndarray = field(repr=False)
     hops: np.ndarray = field(repr=False)
     trees: Dict[int, RouteTree] = field(default_factory=dict, repr=False)
-
-
-def canonical_forest(
-    graph: ASGraph,
-    flat: Optional[FlatGraph] = None,
-    *,
-    stats: Optional[ForestStats] = None,
-) -> Iterator[ForestBlock]:
-    """Yield the canonical trees of every destination, block by block.
-
-    Destinations come in ascending dense order, as many per block as
-    the element budget allows.  Raises
-    :class:`DisconnectedGraphError` with the reference message -- the
-    first destination, in ``graph.nodes`` order, that some node cannot
-    reach -- before yielding the block that contains it.
-    """
-    flat = flat if flat is not None else build_flat_graph(graph)
-    stats = stats if stats is not None else ForestStats()
-    size = max(1, _BLOCK_ELEMENTS // max(1, flat.num_stored))
-    n = flat.num_nodes
-    degree = np.diff(flat.indptr)
-    tails = np.repeat(np.arange(n, dtype=np.int64), degree)
-    heads = flat.indices.astype(np.int64)
-    # The graph is undirected, so the transpose of w(u -> v) = c_v keeps
-    # the CSR structure and weighs row u's entries c_u; stored zeros
-    # stay stored, so zero-cost nodes remain reachable.
-    transposed = csr_matrix(
-        (flat.costs[tails], flat.indices, flat.indptr), shape=(n, n), copy=False
-    )
-    through = flat.costs[heads]
-    for start in range(0, n, size):
-        block = np.arange(start, min(start + size, n), dtype=np.int64)
-        dist = _csgraph_dijkstra(transposed, directed=True, indices=block)
-        _raise_if_disconnected(flat, block, dist)
-        stats.blocks += 1
-        yield _resolve_block(graph, flat, block, dist, tails, heads, through, stats)
 
 
 def _raise_if_disconnected(
@@ -159,7 +127,7 @@ def _resolve_block(
     """Candidate filter, exact re-accumulation and kernel fallback."""
     rows, n = dist.shape
     row_index = np.arange(rows)
-    parent = np.full((rows, n), -1, dtype=np.int64)
+    parent = np.full((rows, n), -1, dtype=np.int32)
     ambiguous = np.zeros(rows, dtype=bool)
     if tails.size:
         tol = _TOL_FACTOR * n * np.finfo(np.float64).eps * dist.max(axis=1)
@@ -204,7 +172,7 @@ def _accumulate(
     rows, n = parent.shape
     base = (np.arange(rows, dtype=np.int64) * n)[:, np.newaxis]
     up = np.where(parent >= 0, parent + base, -1).ravel()
-    hops = np.zeros(rows * n, dtype=np.int64)
+    hops = np.zeros(rows * n, dtype=np.int32)
     alive = np.flatnonzero(up >= 0)
     cursor = up[alive]
     while alive.size:
@@ -243,6 +211,71 @@ def densify_tree(
     cost[labelled] = np.fromiter(tree.costs.values(), np.float64, count)
 
 
+class ForestTrees(Mapping[NodeId, RouteTree]):
+    """Read-only ``destination -> RouteTree`` view of the forest's rows,
+    iterated in ``graph.nodes`` order.
+
+    ``trees[j]`` builds ``T(j)`` from its row on first access and keeps
+    it, so asking again costs one dict lookup.  A resolved row emits
+    its nodes in ``(cost, hops, id)`` order, the order the reference
+    search finalizes them in, as the parents and cost labels the
+    reference kernel stores, with the graph's own id objects; a
+    tie-fallback row returns its kernel-built tree.  ``in``, ``len``
+    and ``repr`` build nothing, and there is no item assignment.
+    """
+
+    __slots__ = ("blocks", "_ids", "_index", "_size", "_built")
+
+    def __init__(
+        self,
+        graph: ASGraph,
+        flat: FlatGraph,
+        blocks: Sequence[ForestBlock],
+        size: int,
+    ) -> None:
+        #: The forest's blocks in ascending destination order, each
+        #: holding *size* destinations (the last one possibly fewer).
+        self.blocks = tuple(blocks)
+        self._ids = graph.nodes
+        self._index = flat.index
+        self._size = size
+        self._built: Dict[NodeId, RouteTree] = {}
+
+    def __getitem__(self, destination: NodeId) -> RouteTree:
+        tree = self._built.get(destination)
+        if tree is not None:
+            return tree
+        dense = self._index[destination]
+        block = self.blocks[dense // self._size]
+        b = dense % self._size
+        tree = block.trees.get(b)
+        if tree is None:
+            ids = self._ids
+            # lexsort is stable, so (cost, hops) ties keep ascending ids;
+            # position 0 is the root (cost 0.0, hops 0).
+            emitted = np.lexsort((block.hops[b], block.cost[b]))[1:]
+            nodes = [ids[i] for i in emitted.tolist()]
+            tree = RouteTree(
+                destination=ids[dense],
+                parents=dict(zip(nodes, [ids[i] for i in block.parent[b, emitted].tolist()])),
+                costs=dict(zip(nodes, block.cost[b, emitted].tolist())),
+            )
+        self._built[destination] = tree
+        return tree
+
+    def __contains__(self, destination: object) -> bool:
+        return destination in self._index
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __iter__(self) -> Iterator[NodeId]:
+        return iter(self._ids)
+
+    def __repr__(self) -> str:
+        return f"<ForestTrees: {len(self)} destinations, {len(self._built)} built>"
+
+
 def canonical_routes(
     graph: ASGraph,
     flat: Optional[FlatGraph] = None,
@@ -250,35 +283,36 @@ def canonical_routes(
     stats: Optional[ForestStats] = None,
 ) -> AllPairsRoutes:
     """All canonical route trees, identical to
-    :func:`~repro.routing.allpairs.all_pairs_lcp` down to dict order.
+    :func:`~repro.routing.allpairs.all_pairs_lcp` down to dict order,
+    held as the forest's rows (:class:`ForestTrees`).
 
-    Resolved rows are emitted in ``(cost, hops, id)`` order, the order
-    the reference search finalizes nodes in, as the parents and cost
-    labels the reference kernel stores; no path is spelled.
+    Destinations are solved in ascending dense order, as many per
+    block as the element budget allows.  Raises
+    :class:`DisconnectedGraphError` with the reference message -- the
+    first destination, in ``graph.nodes`` order, that some node cannot
+    reach.
     """
     flat = flat if flat is not None else build_flat_graph(graph)
-    # The graph's own id objects, indexed densely: every tree shares
-    # them, as kernel-built trees do, instead of holding n^2 fresh ints.
-    ids: List[NodeId] = list(graph.nodes)
-    trees: Dict[NodeId, RouteTree] = {}
-    for block in canonical_forest(graph, flat, stats=stats):
-        rows, n = block.parent.shape
-        column = np.tile(np.arange(n, dtype=np.int64), rows)
-        row = np.repeat(np.arange(rows, dtype=np.int64), n)
-        order = np.lexsort(
-            (column, block.hops.ravel(), block.cost.ravel(), row)
-        ).reshape(rows, n) % n
-        for b, dense_root in enumerate(block.destinations.tolist()):
-            destination = ids[dense_root]
-            if b in block.trees:
-                trees[destination] = block.trees[b]
-                continue
-            emitted = order[b, 1:]  # position 0 is the root (cost 0.0, hops 0)
-            nodes = [ids[i] for i in emitted.tolist()]
-            trees[destination] = RouteTree(
-                destination=destination,
-                parents=dict(zip(nodes, [ids[i] for i in block.parent[b, emitted].tolist()])),
-                costs=dict(zip(nodes, block.cost[b, emitted].tolist())),
-            )
-    return AllPairsRoutes(graph=graph, trees=trees)
-
+    stats = stats if stats is not None else ForestStats()
+    size = max(1, _BLOCK_ELEMENTS // max(1, flat.num_stored))
+    n = flat.num_nodes
+    degree = np.diff(flat.indptr)
+    tails = np.repeat(np.arange(n, dtype=np.int64), degree)
+    heads = flat.indices.astype(np.int64)
+    # The graph is undirected, so the transpose of w(u -> v) = c_v keeps
+    # the CSR structure and weighs row u's entries c_u; stored zeros
+    # stay stored, so zero-cost nodes remain reachable.
+    transposed = csr_matrix(
+        (flat.costs[tails], flat.indices, flat.indptr), shape=(n, n), copy=False
+    )
+    through = flat.costs[heads]
+    blocks: List[ForestBlock] = []
+    for start in range(0, n, size):
+        block = np.arange(start, min(start + size, n), dtype=np.int64)
+        dist = _csgraph_dijkstra(transposed, directed=True, indices=block)
+        _raise_if_disconnected(flat, block, dist)
+        stats.blocks += 1
+        blocks.append(
+            _resolve_block(graph, flat, block, dist, tails, heads, through, stats)
+        )
+    return AllPairsRoutes(graph=graph, trees=ForestTrees(graph, flat, blocks, size))

@@ -11,8 +11,12 @@ zeros (ties everywhere), log-uniform magnitudes across 18 decades
 decimal fractions whose sums depend on the summation order
 (``0.1 + 0.2 != 0.3``), which only the filter's tolerance keeps exact.
 
-The integer-label :func:`~repro.routing.dijkstra.route_tree` is itself
-pinned against a frozen copy of the path-tuple search it replaced.
+The routes hold the forest's dense rows and build a tree only when
+asked (:class:`~repro.routing.forest.ForestTrees`); the demand
+inversion reads those rows, so pricing builds no tree and densifies
+none.  The integer-label :func:`~repro.routing.dijkstra.route_tree` is
+itself pinned against a frozen copy of the path-tuple search it
+replaced.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import repro.obs as obs
+from repro.devtools import sanitize
 from repro.exceptions import DisconnectedGraphError
 from repro.graphs.asgraph import ASGraph
 from repro.graphs.generators import (
@@ -34,16 +39,13 @@ from repro.graphs.generators import (
     isp_like_graph,
     uniform_costs,
 )
-from repro.routing import forest
+from repro.routing import flatsweep, forest
 from repro.routing.allpairs import all_pairs_lcp
-from repro.routing.dijkstra import route_tree
-from repro.routing.engines import FlatEngine
-from repro.routing.flatsweep import (
-    canonical_demand,
-    demand_from_routes,
-    flat_price_arrays,
-)
+from repro.routing.dijkstra import RouteTree, route_tree
+from repro.routing.engines import FlatEngine, get_engine
+from repro.routing.flatsweep import demand_from_routes, flat_price_arrays
 from repro.routing.forest import ForestStats, canonical_routes
+from repro.types import costs_close
 
 COST_FAMILIES = {
     "continuous": st.floats(0.5, 10.0),
@@ -172,13 +174,80 @@ class TestFallbacks:
         assert _routes_state(routes) == _routes_state(all_pairs_lcp(graph))
 
 
+class TestForestTreesView:
+    def test_mapping_surface(self):
+        graph = isp_like_graph(30, seed=3, cost_sampler=integer_costs(0, 3))
+        trees = canonical_routes(graph).trees
+        assert list(trees) == list(graph.nodes)
+        assert len(trees) == graph.num_nodes
+        assert graph.nodes[0] in trees and -1 not in trees
+        with pytest.raises(KeyError):
+            trees[-1]
+        with pytest.raises(TypeError):
+            trees[graph.nodes[0]] = trees[graph.nodes[1]]
+        with pytest.raises(TypeError):
+            del trees[graph.nodes[0]]
+
+    def test_repr_builds_nothing(self):
+        graph = isp_like_graph(30, seed=3, cost_sampler=uniform_costs(1.0, 6.0))
+        with mock.patch.object(forest, "RouteTree", wraps=RouteTree) as built:
+            routes = canonical_routes(graph)
+            text = repr(routes.trees)
+            repr(routes)
+        assert built.call_count == 0
+        assert text == "<ForestTrees: 30 destinations, 0 built>"
+
+    @pytest.mark.parametrize("size", [1, 7])
+    @pytest.mark.parametrize(
+        "cost_sampler", [integer_costs(0, 3), uniform_costs(1.0, 6.0)]
+    )
+    def test_equals_reference_in_any_access_order(self, size, cost_sampler):
+        graph = isp_like_graph(40, seed=1, cost_sampler=cost_sampler)
+        expected = all_pairs_lcp(graph)
+        routes = _with_block_size(graph, size, lambda: canonical_routes(graph))
+        # Rows are built one at a time, in whatever order they are asked for.
+        for destination in reversed(graph.nodes):
+            assert _tree_state(routes.tree(destination)) == _tree_state(
+                expected.tree(destination)
+            )
+        assert routes == expected and expected == routes
+        assert _routes_state(routes) == _routes_state(expected)
+
+    def test_pricing_builds_no_tree(self):
+        graph = isp_like_graph(40, seed=7, cost_sampler=uniform_costs(1.0, 6.0))
+        with sanitize.sanitized(False), mock.patch.object(
+            forest, "RouteTree", wraps=RouteTree
+        ) as built:
+            table = FlatEngine().price_table(graph)
+            assert built.call_count == 0
+            destination = graph.nodes[5]
+            first = table.routes.tree(destination)
+            assert table.routes.tree(destination) is first
+            assert built.call_count == 1
+
+    def test_pricing_densifies_no_tree(self):
+        graph = isp_like_graph(40, seed=7, cost_sampler=uniform_costs(1.0, 6.0))
+        expected = get_engine("reference").price_table(graph)
+        with mock.patch.object(
+            flatsweep, "densify_tree", side_effect=AssertionError("densified")
+        ):
+            table = FlatEngine().price_table(graph)
+        assert table.routes == expected.routes
+        assert list(table.rows) == list(expected.rows)
+        for pair, row in expected.rows.items():
+            assert list(table.rows[pair]) == list(row)
+            assert all(costs_close(table.rows[pair][k], price) for k, price in row.items())
+
+
 class TestDemandFromForest:
     @pytest.mark.parametrize("family", ["continuous", "integer", "zeros"])
     @given(data=st.data())
     def test_canonical_demand_equals_route_demand(self, family, data):
+        """Demand read from the forest rows the canonical routes hold
+        equals demand densified from the reference's route dicts."""
         graph = data.draw(graphs(family))
         expected = demand_from_routes(graph, all_pairs_lcp(graph))
-        actual = canonical_demand(graph)
+        actual = demand_from_routes(graph, canonical_routes(graph))
         for column in (
             "pair_src",
             "pair_dst",
@@ -186,6 +255,9 @@ class TestDemandFromForest:
             "pair_offset",
             "entry_k",
             "order",
+            "src_by_k",
+            "dst_by_k",
+            "lcp_by_k",
             "group_k",
             "group_ptr",
         ):

@@ -41,8 +41,9 @@ from repro.graphs.generators import (
 from repro.mechanism.vcg import compute_price_table
 from repro.routing.allpairs import all_pairs_lcp
 from repro.routing.avoiding import avoiding_tree
-from repro.routing.engines import FlatEngine, FlatSweepStats, flat_price_rows, get_engine
+from repro.routing.engines import FlatEngine, FlatSweepStats, get_engine
 from repro.routing.flatgraph import build_flat_graph
+from repro.routing.flatsweep import flat_price_arrays
 from repro.types import costs_close
 
 
@@ -208,7 +209,7 @@ class TestFlatPriceRows:
         graph = factory()
         routes = all_pairs_lcp(graph)
         expected = compute_price_table(graph, routes).rows
-        actual = flat_price_rows(graph, routes)
+        actual = flat_price_arrays(graph, routes).to_rows()
         assert set(actual) == set(expected)
         for pair in expected:
             assert set(actual[pair]) == set(expected[pair])
@@ -225,7 +226,7 @@ class TestFlatPriceRows:
     def test_demand_restriction_stats(self):
         graph = isp_like_graph(40, seed=6, cost_sampler=integer_costs(1, 6))
         stats = FlatSweepStats()
-        flat_price_rows(graph, stats=stats)
+        flat_price_arrays(graph, stats=stats)
         n = graph.num_nodes
         assert stats.solves > 0
         # the whole point: far fewer distance rows than one full
@@ -270,7 +271,7 @@ class TestErrorParity:
         with pytest.raises(MechanismError) as reference_error:
             compute_price_table(graph, routes=expensive_routes)
         with pytest.raises(MechanismError) as flat_error:
-            flat_price_rows(graph, routes=expensive_routes)
+            flat_price_arrays(graph, routes=expensive_routes)
         assert "negative VCG price" in str(reference_error.value)
         assert str(flat_error.value) == str(reference_error.value)
 
@@ -310,7 +311,7 @@ class TestFlatEngineSurface:
         from repro.obs.trace import summarize_trace, summary_tables
 
         stats = FlatSweepStats()
-        flat_price_rows(fig1, stats=stats)
+        flat_price_arrays(fig1, stats=stats)
         path = tmp_path / "flat.jsonl"
         observer = obs.Obs()
         sink = observer.add_sink(obs.JSONLSink(str(path)))
