@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Tuple
+from typing import Mapping, Tuple
 
 from repro.exceptions import ProtocolError
 from repro.types import Cost, NodeId, PathTuple
@@ -279,22 +279,3 @@ class RouteDelta:
             self.withdrawals
         )
 
-
-def table_to_advertisements(
-    sender: NodeId,
-    table: Mapping[NodeId, "object"],
-) -> Tuple[RouteAdvertisement, ...]:
-    """Convenience for tests: materialize a full-table exchange."""
-    adverts = []
-    for destination, entry in sorted(table.items()):
-        adverts.append(
-            RouteAdvertisement(
-                sender=sender,
-                destination=destination,
-                path=entry.path,
-                cost=entry.cost,
-                node_costs=dict(entry.node_costs),
-                prices=dict(getattr(entry, "prices", {})),
-            )
-        )
-    return tuple(adverts)

@@ -11,7 +11,7 @@ measured values next to the proven bounds (``d``, ``max(d, d')``,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.types import NodeId
 
@@ -54,10 +54,6 @@ class ConvergenceReport:
         self.total_entries_sent += stats.entries_sent
         self.total_rows_sent += stats.rows_sent
         self.total_rows_suppressed += stats.rows_suppressed
-
-    @property
-    def max_entries_in_stage(self) -> int:
-        return max((s.entries_sent for s in self.per_stage), default=0)
 
 
 @dataclass

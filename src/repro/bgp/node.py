@@ -18,15 +18,18 @@ per-neighbor hook :meth:`_candidate` (policy routing, per-neighbor
 costs), and hook :meth:`_after_decide` to derive additional
 per-destination state from the same messages (the FPSS price rows).
 
-Incremental machinery (the delta substrate): :meth:`decide` accepts a
-*dirty* destination set and then re-selects only those destinations,
-each against only the neighbors whose advertisement changed since it
-was last decided (the Adj-RIB-In's change record);
-outgoing rows are cached and hash-consed, so rebuilding the table after
-a decision touches only the rows whose inputs changed; and
-:meth:`publication_delta` hands the owning engine exactly the rows that
-changed since the last transmission (plus withdrawals), which is what a
-:class:`~repro.bgp.messages.RouteDelta` carries on the wire.
+Each of the three steps has one code path (the delta substrate).  A
+message, whole table or :class:`~repro.bgp.messages.RouteDelta`, is
+written into the Adj-RIB-In row by row, a whole table as the delta that
+turns the stored slice into it.  :meth:`decide` re-selects only the
+*dirty* destinations, each against only the neighbors whose
+advertisement changed since it was last decided (the Adj-RIB-In's
+change record); a full decision is the same loop with every destination
+and every neighbor marked changed.  :meth:`publication_delta` rebuilds
+the rows whose inputs changed since the last take, hash-consed, and
+hands the owning engine exactly those that differ from the published
+table (plus withdrawals), which is what a ``RouteDelta`` carries on the
+wire.
 
 :class:`ProtocolEngine` is what the two protocol engines
 (:class:`~repro.bgp.engine.SynchronousEngine` and
@@ -111,16 +114,13 @@ class BGPNode:
         # Price-computation epoch; bumped by on_network_event() so that
         # restarted price state never mixes with pre-event information.
         self.generation = 0
-        # --- outgoing-table cache (delta substrate) -------------------
-        # Interned row per destination; the self-route is keyed by our
-        # own id.  ``_stale_rows`` marks rows whose inputs changed since
-        # the cache was last refreshed; ``_pub_baseline`` is the table
-        # as of the last publication_delta() take (what receivers hold),
-        # and ``_pub_touched`` the destinations that may differ from it.
-        self._advert_cache: Dict[NodeId, RouteAdvertisement] = {}
+        # --- published table (delta substrate) ------------------------
+        # ``_pub_baseline`` is the table as of the last
+        # publication_delta() take (what receivers hold): one interned
+        # row per destination, the self-route keyed by our own id.
+        # ``_stale_rows`` marks the rows whose inputs changed since.
         self._stale_rows: Set[NodeId] = {node_id}
         self._pub_baseline: Dict[NodeId, RouteAdvertisement] = {}
-        self._pub_touched: Set[NodeId] = set()
         self._pub_entries = 0
 
     # ------------------------------------------------------------------
@@ -133,13 +133,13 @@ class BGPNode:
     ) -> Set[NodeId]:
         """Store a full-table exchange from *neighbor*.
 
-        Returns the destinations whose stored advertisement actually
-        changed -- the receiver's *dirty set*, which is what an
-        incremental engine re-decides.
+        The table replaces *neighbor*'s stored slice: it is applied as
+        the delta that turns the slice into it (its rows, and a
+        withdrawal of every stored destination it lacks; a repeated
+        destination keeps its last row).  Returns the destinations whose
+        stored advertisement actually changed -- the receiver's *dirty
+        set*, which is what an incremental engine re-decides.
         """
-        observer = obs_mod.active(self.obs)
-        if observer is not None:
-            observer.count(metric_names.MESSAGES_RECEIVED, node=self.node_id)
         table: Dict[NodeId, RouteAdvertisement] = {}
         for advert in adverts:
             if advert.sender != neighbor:
@@ -148,7 +148,12 @@ class BGPNode:
                     f"on the session with {neighbor}"
                 )
             table[advert.destination] = advert
-        return self.rib_in.replace_neighbor_table(neighbor, table)
+        dropped = [
+            destination
+            for destination in self.rib_in.neighbor_destinations(neighbor)
+            if destination not in table
+        ]
+        return self._apply(neighbor, table.values(), dropped)
 
     def receive_delta(self, neighbor: NodeId, delta: RouteDelta) -> Set[NodeId]:
         """Apply a differential exchange from *neighbor*.
@@ -156,20 +161,31 @@ class BGPNode:
         Equivalent to :meth:`receive_table` with the full table the
         delta reconstructs; returns the same dirty-destination set.
         """
-        observer = obs_mod.active(self.obs)
-        if observer is not None:
-            observer.count(metric_names.MESSAGES_RECEIVED, node=self.node_id)
         if delta.sender != neighbor:
             raise ProtocolError(
                 f"node {self.node_id} got a delta from {delta.sender} "
                 f"on the session with {neighbor}"
             )
+        return self._apply(neighbor, delta.updates, delta.withdrawals)
+
+    def _apply(
+        self,
+        neighbor: NodeId,
+        updates: Iterable[RouteAdvertisement],
+        withdrawals: Iterable[NodeId],
+    ) -> Set[NodeId]:
+        """Write one received message into *neighbor*'s slice; returns
+        the destinations whose stored advertisement changed."""
+        observer = obs_mod.active(self.obs)
+        if observer is not None:
+            observer.count(metric_names.MESSAGES_RECEIVED, node=self.node_id)
+        rib = self.rib_in
         dirty: Set[NodeId] = set()
-        for advert in delta.updates:
-            if self.rib_in.apply_update(neighbor, advert):
+        for advert in updates:
+            if rib.apply_update(neighbor, advert):
                 dirty.add(advert.destination)
-        for destination in delta.withdrawals:
-            if self.rib_in.withdraw(neighbor, destination):
+        for destination in withdrawals:
+            if rib.withdraw(neighbor, destination):
                 dirty.add(destination)
         return dirty
 
@@ -197,16 +213,15 @@ class BGPNode:
     def decide(self, dirty: Optional[Set[NodeId]] = None) -> Set[NodeId]:
         """Recompute selected routes from the Adj-RIB-In.
 
-        With *dirty* = None (the full decision of the Sect. 5 model),
-        every destination is re-selected from every neighbor.  With a
-        dirty set -- the destinations whose inbound advertisements
-        changed, as returned by :meth:`receive_table` /
+        With a dirty set -- the destinations whose inbound
+        advertisements changed, as returned by :meth:`receive_table` /
         :meth:`receive_delta` -- only those are re-selected, and each
         only re-examines the neighbors the Adj-RIB-In's change record
-        names (see :meth:`_select_route`).  Selection is a pure
-        per-destination function of the Adj-RIB-In, so both calls leave
-        identical state; the dirty form just skips the destinations and
-        advertisements that are untouched.  Under the runtime sanitizer
+        names (see :meth:`_select_route`).  With *dirty* = None (the
+        full decision of the Sect. 5 model) every stored and routed
+        destination is first marked "every neighbor changed", and the
+        same loop re-selects whatever the change record then names, so
+        no record outlives a full decision.  Under the runtime sanitizer
         a dirty decision is followed by a full one that must move
         nothing (``[sanitize:decide]``).
 
@@ -215,19 +230,16 @@ class BGPNode:
         advertisement level).
         """
         rib = self.rib_in
+        full = dirty is None
+        if full:
+            rib.mark_all_changed(rib.destinations() + tuple(self.routes))
+            dirty = rib.recorded()
         # destination -> the neighbors to re-examine (None: every one)
-        examined: Dict[NodeId, Optional[AbstractSet[NodeId]]]
-        if dirty is None:
-            destinations = set(rib.destinations())
-            destinations.discard(self.node_id)
-            examined = dict.fromkeys(sorted(destinations))
-            rib.clear_changes()
-        else:
-            examined = {}
-            for destination in sorted(dirty):
-                neighbors = rib.take_changes(destination)
-                if destination != self.node_id:
-                    examined[destination] = neighbors
+        examined: Dict[NodeId, Optional[AbstractSet[NodeId]]] = {}
+        for destination in sorted(dirty):
+            neighbors = rib.take_changes(destination)
+            if destination != self.node_id:
+                examined[destination] = neighbors
         changed: Set[NodeId] = set()
         for destination, neighbors in examined.items():
             previous = self.routes.get(destination)
@@ -247,24 +259,9 @@ class BGPNode:
                 # unchanged (a node on the path may have re-declared).
                 self.routes[destination] = entry
                 changed.add(destination)
-        if dirty is None:
-            # Routes to destinations that vanished from every neighbor
-            # table.  (In the dirty form such destinations are in the
-            # dirty set -- a withdrawal dirtied them -- and the main
-            # loop's ``entry is None`` branch already dropped them.)
-            for destination in list(self.routes):
-                if destination not in examined:
-                    del self.routes[destination]
-                    changed.add(destination)
-        derived = self._after_decide(changed, None if dirty is None else examined)
-        if derived is None:
-            # The subclass does not track which advertised derived rows
-            # changed; conservatively treat every recomputed destination
-            # as touched (publication_delta suppresses the no-ops).
-            derived = set(examined)
         self._stale_rows.update(changed)
-        self._stale_rows.update(derived)
-        if dirty is not None and sanitize.enabled():
+        self._stale_rows.update(self._after_decide(changed, examined))
+        if not full and sanitize.enabled():
             sanitize.check_decision(self)
         return changed
 
@@ -365,23 +362,25 @@ class BGPNode:
     def _after_decide(
         self,
         changed_destinations: Set[NodeId],
-        examined: Optional[Mapping[NodeId, Optional[AbstractSet[NodeId]]]] = None,
-    ) -> Optional[Set[NodeId]]:
+        examined: Mapping[NodeId, Optional[AbstractSet[NodeId]]],
+    ) -> Set[NodeId]:
         """Hook for subclasses (price computation).
 
-        *examined* maps each destination :meth:`decide` re-selected to
+        *changed_destinations* are the destinations whose selected route
+        changed (added, replaced or dropped); *examined* maps each
+        destination :meth:`decide` re-selected, in ascending order, to
         the neighbors whose advertisement changed since its previous
-        decision (None: every neighbor); *examined* itself is None for a
-        full decision.  Since every advertised derived row (the price
+        decision (None: every neighbor, as for every destination of a
+        full decision).  Since every advertised derived row (the price
         slot) is a function of that destination's inbound advertisements
-        and selected route alone, a subclass may restrict its
-        recomputation to those destinations, and an accumulating one to
-        the changed neighbors.
+        and selected route alone, a subclass recomputes only those
+        destinations, and an accumulating one folds in only the changed
+        neighbors.  Derived rows exist only for routed destinations, so
+        dropping those of changed destinations no longer routed is all
+        the cleanup a decision needs.
 
         Returns the destinations whose *advertised* derived state
-        changed, or None when the subclass does not track this (the
-        caller then conservatively assumes every recomputed destination
-        changed).  The base node advertises no derived state.
+        changed.  The base node advertises no derived state.
         """
         return set()
 
@@ -397,52 +396,23 @@ class BGPNode:
         self.generation += 1
         self.rib_in = AdjRIBIn()
         self.routes = {}
-        # Every cached row is now stale: learned routes become
+        # Every published row is now stale: learned routes become
         # withdrawals, and the self-route changes epoch.
-        self._stale_rows.update(self._advert_cache)
+        self._stale_rows.update(self._pub_baseline)
         self._stale_rows.add(self.node_id)
 
     # ------------------------------------------------------------------
     # Advertisement production
     # ------------------------------------------------------------------
-    def _refresh_rows(self) -> None:
-        """Bring the outgoing-row cache up to date (O(stale rows)).
-
-        Rebuilt rows are interned, so a row whose content did not change
-        keeps its previous identity and publication_delta's comparisons
-        stay pointer checks.
-        """
-        if not self._stale_rows:
-            return
-        for destination in self._stale_rows:
-            if destination == self.node_id:
-                new: Optional[RouteAdvertisement] = intern_advertisement(
-                    self.self_advertisement()
-                )
-            elif destination in self.routes:
-                new = intern_advertisement(self._advert_for(destination))
-            else:
-                new = None
-            old = self._advert_cache.get(destination)
-            if new is old:
-                continue
-            if new is None:
-                if old is None:
-                    continue
-                del self._advert_cache[destination]
-            elif new == old:
-                continue  # identical content; keep the cached identity
-            else:
-                self._advert_cache[destination] = new
-            self._pub_touched.add(destination)
-        self._stale_rows.clear()
-
     def advertisements(self) -> Tuple[RouteAdvertisement, ...]:
-        """The node's current full table as messages, self-route first."""
-        self._refresh_rows()
-        adverts: List[RouteAdvertisement] = [self._advert_cache[self.node_id]]
+        """The node's current full table as messages, self-route first.
+
+        Built fresh from the current routes; the publication state
+        (what :meth:`publication_delta` compares against) is untouched.
+        """
+        adverts: List[RouteAdvertisement] = [self.self_advertisement()]
         for destination in sorted(self.routes):
-            adverts.append(self._advert_cache[destination])
+            adverts.append(self._advert_for(destination))
         return tuple(adverts)
 
     def publication_delta(self) -> PublicationDelta:
@@ -451,34 +421,41 @@ class BGPNode:
         The engine calls this once per publication point; the returned
         rows are exactly what a :class:`RouteDelta` must carry so that
         receivers holding the previous publication end up with the same
-        slice a full-table exchange would have left.  Cost is
-        O(changed rows), not O(table).
+        slice a full-table exchange would have left.  Only the rows
+        whose inputs changed since the take are rebuilt, interned, so an
+        unchanged row comes back as the published object and compares
+        by pointer.  Cost is O(changed rows), not O(table).
         """
-        self._refresh_rows()
-        if not self._pub_touched:
+        stale = self._stale_rows
+        if not stale:
             return PublicationDelta((), (), False)
+        baseline = self._pub_baseline
         updates: List[RouteAdvertisement] = []
         withdrawals: List[NodeId] = []
         material = False
-        for destination in sorted(self._pub_touched):
-            current = self._advert_cache.get(destination)
-            previous = self._pub_baseline.get(destination)
+        for destination in sorted(stale):
+            current: Optional[RouteAdvertisement] = None
+            if destination == self.node_id:
+                current = intern_advertisement(self.self_advertisement())
+            elif destination in self.routes:
+                current = intern_advertisement(self._advert_for(destination))
+            previous = baseline.get(destination)
             if current is previous or (current is not None and current == previous):
                 continue
             if current is None:
                 withdrawals.append(destination)
                 material = True
-                del self._pub_baseline[destination]
+                del baseline[destination]
                 self._pub_entries -= previous.size_entries()
             else:
                 updates.append(current)
                 if previous is None or row_materially_different(previous, current):
                     material = True
-                self._pub_baseline[destination] = current
+                baseline[destination] = current
                 self._pub_entries += current.size_entries() - (
                     previous.size_entries() if previous is not None else 0
                 )
-        self._pub_touched.clear()
+        stale.clear()
         return PublicationDelta(tuple(updates), tuple(withdrawals), material)
 
     def published_table(self) -> Tuple[RouteAdvertisement, ...]:

@@ -12,7 +12,7 @@ Terminology follows real BGP:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     AbstractSet,
     Dict,
@@ -71,13 +71,13 @@ class AdjRIBIn:
     """Per-neighbor advertisement store.
 
     ``store[neighbor][destination]`` is the last advertisement received
-    from that neighbor for that destination.  A full-table exchange
-    replaces the neighbor's slice wholesale (the model of Sect. 5 sends
-    whole tables for worst-case accounting); a delta exchange edits the
-    slice row-by-row via :meth:`apply_update` / :meth:`withdraw`, which
-    is the real-BGP incremental optimization reintroduced by the delta
-    substrate.  Either way the write methods report which destinations
-    actually changed, so the owning node can recompute only those.
+    from that neighbor for that destination.  The slice is written row
+    by row, by :meth:`apply_update`, :meth:`withdraw` and
+    :meth:`drop_neighbor`, whatever the message was: a whole table (the
+    model of Sect. 5 sends whole tables for worst-case accounting) is
+    applied as the delta that turns the stored slice into it.  The
+    write methods report which destinations actually changed, so the
+    owning node can recompute only those.
 
     The store also keeps a *change record*: per destination, the
     neighbors whose row changed since the owning node last decided that
@@ -99,29 +99,6 @@ class AdjRIBIn:
         neighbors = changes[destination]
         if neighbors is not None:
             neighbors.add(neighbor)
-
-    def replace_neighbor_table(
-        self,
-        neighbor: NodeId,
-        adverts: Mapping[NodeId, RouteAdvertisement],
-    ) -> Set[NodeId]:
-        """Replace *neighbor*'s slice wholesale; returns the destinations
-        whose stored advertisement changed (added, replaced, or dropped).
-        Interned rows make the per-row comparison a pointer check."""
-        old = self._store.get(neighbor) or {}
-        new = dict(adverts)
-        self._store[neighbor] = new
-        dirty: Set[NodeId] = set()
-        for destination, advert in new.items():
-            previous = old.get(destination)
-            if previous is None or (previous is not advert and previous != advert):
-                dirty.add(destination)
-                self._record(destination, neighbor)
-        for destination in old:
-            if destination not in new:
-                dirty.add(destination)
-                self._record(destination, neighbor)
-        return dirty
 
     def apply_update(self, neighbor: NodeId, advert: RouteAdvertisement) -> bool:
         """Store one replacement row from *neighbor*; True iff the slice
@@ -167,15 +144,19 @@ class AdjRIBIn:
         for destination in destinations:
             self._changes[destination] = None
 
-    def clear_changes(self) -> None:
-        """Forget the record (a full decision re-examined every row)."""
-        self._changes.clear()
+    def recorded(self) -> Set[NodeId]:
+        """The destinations the change record names."""
+        return set(self._changes)
 
     def neighbors(self) -> Tuple[NodeId, ...]:
         return tuple(sorted(self._store))
 
     def advert(self, neighbor: NodeId, destination: NodeId) -> Optional[RouteAdvertisement]:
         return self._store.get(neighbor, {}).get(destination)
+
+    def neighbor_destinations(self, neighbor: NodeId) -> Tuple[NodeId, ...]:
+        """The destinations *neighbor*'s stored slice holds."""
+        return tuple(self._store.get(neighbor, ()))
 
     def destinations(self) -> Tuple[NodeId, ...]:
         """All destinations any stored advertisement mentions."""

@@ -75,28 +75,19 @@ class PriceComputingNode(BGPNode):
     def _after_decide(
         self,
         changed_destinations: Set[NodeId],
-        examined: Optional[Mapping[NodeId, Optional[AbstractSet[NodeId]]]] = None,
+        examined: Mapping[NodeId, Optional[AbstractSet[NodeId]]],
     ) -> Set[NodeId]:
         # A destination's price row is a function of that destination's
-        # stored advertisements and selected route alone, so with a
-        # dirty set only the examined rows can move; a full decision
-        # sweeps every route.  Returns the destinations whose row
-        # changed (the advertised price slot), so the outgoing-row cache
-        # refreshes exactly those.
+        # stored advertisements and selected route alone, so only the
+        # examined rows can move.  Returns the destinations whose row
+        # changed (the advertised price slot), so publication_delta
+        # rebuilds exactly those.
         rows_changed: Set[NodeId] = set()
-        if examined is None:
-            # Drop rows for destinations we no longer route to.
-            for destination in list(self.price_rows):
-                if destination not in self.routes:
-                    del self.price_rows[destination]
-                    rows_changed.add(destination)
-            candidates = sorted(self.routes)
-        else:
-            for destination in sorted(changed_destinations):
-                if destination not in self.routes and destination in self.price_rows:
-                    del self.price_rows[destination]
-                    rows_changed.add(destination)
-            candidates = [d for d in examined if d in self.routes]
+        for destination in sorted(changed_destinations):
+            if destination not in self.routes and destination in self.price_rows:
+                del self.price_rows[destination]
+                rows_changed.add(destination)
+        candidates = [d for d in examined if d in self.routes]
         rib = self.rib_in
         for destination in candidates:
             entry = self.routes[destination]
@@ -107,7 +98,7 @@ class PriceComputingNode(BGPNode):
                     rows_changed.add(destination)
                 self.price_rows[destination] = {}
                 continue
-            neighbors = None if examined is None else examined[destination]
+            neighbors = examined[destination]
             if (
                 self.mode is UpdateMode.RECOMPUTE
                 or destination in changed_destinations

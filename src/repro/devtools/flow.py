@@ -260,6 +260,12 @@ CACHE_CONTRACTS: Tuple[CacheContract, ...] = (
             "_build_rows",
         ),
     ),
+    CacheContract(
+        relpath="bgp/node.py",
+        class_name="BGPNode",
+        cache_attrs=("_pub_baseline", "_pub_entries"),
+        commit_methods=("__init__", "publication_delta"),
+    ),
 )
 
 

@@ -13,7 +13,7 @@ repository can be regenerated exactly.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Tuple
+from typing import List, Tuple
 
 from repro.exceptions import ExperimentError
 from repro.graphs.asgraph import ASGraph
@@ -60,14 +60,3 @@ def standard_instances(scale: str = "small", seed: int = 0) -> List[Instance]:
         ("barabasi-albert", barabasi_albert_graph(32, seed=seed, cost_sampler=integer_costs(0, 5))),
         ("isp-like", isp_like_graph(36, seed=seed, cost_sampler=integer_costs(1, 6))),
     ]
-
-
-def seeded_instances(
-    scale: str = "small",
-    seeds: Tuple[int, ...] = (0, 1, 2),
-) -> Iterator[Instance]:
-    """The standard sweep replicated over several seeds, with the seed
-    folded into the family label."""
-    for seed in seeds:
-        for family, graph in standard_instances(scale, seed=seed):
-            yield (f"{family}/s{seed}", graph)

@@ -89,30 +89,20 @@ class EdgeCostPriceNode(BGPNode):
     def _after_decide(
         self,
         changed_destinations: Set[NodeId],
-        examined: Optional[Mapping[NodeId, Optional[AbstractSet[NodeId]]]] = None,
+        examined: Mapping[NodeId, Optional[AbstractSet[NodeId]]],
     ) -> Set[NodeId]:
         # Every derived quantity below is a per-destination function of
         # that destination's stored advertisements (plus the selected
-        # route), so a dirty decision restricts the sweep to the
-        # examined destinations.  Returns the destinations whose
-        # *advertised* avoiding row changed.
+        # route), so a decision recomputes only the examined
+        # destinations.  Returns the destinations whose *advertised*
+        # avoiding row changed.
         rows_changed: Set[NodeId] = set()
-        if examined is None:
-            scope_set = None
-            # --- avoiding-cost rows for the advertised tree routes ----
-            for destination in list(self.avoiding_rows):
-                if destination not in self.routes:
-                    del self.avoiding_rows[destination]
-                    rows_changed.add(destination)
-            scope = sorted(self.routes)
-        else:
-            scope_set = set(examined)  # every changed destination was examined
-            for destination in sorted(scope_set):
-                if destination not in self.routes and destination in self.avoiding_rows:
-                    del self.avoiding_rows[destination]
-                    rows_changed.add(destination)
-            scope = sorted(d for d in scope_set if d in self.routes)
-        for destination in scope:
+        # --- avoiding-cost rows for the advertised tree routes --------
+        for destination in sorted(changed_destinations):
+            if destination not in self.routes and destination in self.avoiding_rows:
+                del self.avoiding_rows[destination]
+                rows_changed.add(destination)
+        for destination in [d for d in examined if d in self.routes]:
             entry = self.routes[destination]
             row: Dict[NodeId, Cost] = {}
             for k in entry.transit:
@@ -133,15 +123,7 @@ class EdgeCostPriceNode(BGPNode):
             self.avoiding_rows[destination] = row
 
         # --- source routes and prices (local outputs; no message) ------
-        if scope_set is None:
-            self.source_routes.clear()
-            self.source_prices.clear()
-            destinations = set(self.rib_in.destinations())
-            destinations.discard(self.node_id)
-            source_scope = sorted(destinations)
-        else:
-            source_scope = sorted(d for d in scope_set if d != self.node_id)
-        for destination in source_scope:
+        for destination in examined:
             chosen = None
             chosen_key = None
             for neighbor, advert in sorted(

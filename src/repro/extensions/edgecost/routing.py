@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.exceptions import UnreachableError
 from repro.extensions.edgecost.model import EdgeCostGraph
@@ -49,18 +49,6 @@ class EdgeCostRoutes:
     source_costs: Dict[NodeId, Cost] = field(repr=False)
     #: i's selected route for its own traffic (i first).
     source_paths: Dict[NodeId, PathTuple] = field(repr=False)
-
-    def tree_cost(self, node: NodeId) -> Cost:
-        try:
-            return self.tree_costs[node]
-        except KeyError:
-            raise UnreachableError(node, self.destination) from None
-
-    def tree_path(self, node: NodeId) -> PathTuple:
-        try:
-            return self.tree_paths[node]
-        except KeyError:
-            raise UnreachableError(node, self.destination) from None
 
     def cost(self, source: NodeId) -> Cost:
         """``S(source)``: transit cost of the selected source route."""

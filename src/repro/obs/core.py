@@ -103,9 +103,6 @@ class Obs:
         if sink in self._sinks:
             self._sinks.remove(sink)
 
-    def clear_sinks(self) -> None:
-        self._sinks.clear()
-
     @property
     def sinks(self) -> Tuple[Sink, ...]:
         return tuple(self._sinks)

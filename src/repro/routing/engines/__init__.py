@@ -27,7 +27,7 @@ contract, not just a lookup convenience.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple, Type, Union
+from typing import Dict, Tuple, Type, Union
 
 from repro.exceptions import EngineError
 from repro.routing.engines.base import CostMatrix, Engine
@@ -72,11 +72,6 @@ def register(engine_class: Type[Engine]) -> Type[Engine]:
 def engine_names() -> Tuple[str, ...]:
     """All registered engine names, sorted."""
     return tuple(sorted(_REGISTRY))
-
-
-def engine_classes() -> List[Type[Engine]]:
-    """All registered engine classes, in name order."""
-    return [_REGISTRY[name] for name in engine_names()]
 
 
 def get_engine(name: str) -> Engine:

@@ -40,12 +40,12 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Iterator
 
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from repro.exceptions import EngineError, GraphError
+from repro.exceptions import EngineError
 from repro.graphs.asgraph import ASGraph
 from repro.types import NodeId
 
@@ -136,13 +136,6 @@ class FlatGraph:
             yield self.matrix()
         finally:
             self.weights[positions] = saved
-
-    def dense_pair(self, source: NodeId, destination: NodeId) -> Tuple[int, int]:
-        """Dense indices of a node pair (convenience for callers)."""
-        try:
-            return self.index[source], self.index[destination]
-        except KeyError as exc:
-            raise GraphError(f"unknown node {exc.args[0]}") from None
 
 
 def build_flat_graph(graph: ASGraph) -> FlatGraph:

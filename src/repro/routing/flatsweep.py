@@ -334,13 +334,18 @@ def demand_from_routes(
     """Invert the canonical routes into per-transit-node demand.
 
     Routes built by :func:`repro.routing.forest.canonical_routes` are
-    read from the forest rows they hold, building no tree.  Any other
+    read from the forest rows they hold, building no tree, and for the
+    same graph object reuse the flat graph those rows index.  Any other
     routes are densified a block of destinations at a time
     (:func:`repro.routing.forest.densify_tree`, the only Python-level
     work).  Both feed the same inversion.
     """
-    flat = flat if flat is not None else build_flat_graph(graph)
     trees = routes.trees
+    if flat is None:
+        if isinstance(trees, ForestTrees) and routes.graph is graph:
+            flat = trees.flat
+        else:
+            flat = build_flat_graph(graph)
     if isinstance(trees, ForestTrees):
         blocks: Iterable[_ForestRows] = (
             (block.destinations, block.parent, block.cost) for block in trees.blocks

@@ -224,7 +224,7 @@ class ForestTrees(Mapping[NodeId, RouteTree]):
     and ``repr`` build nothing, and there is no item assignment.
     """
 
-    __slots__ = ("blocks", "_ids", "_index", "_size", "_built")
+    __slots__ = ("blocks", "flat", "_ids", "_index", "_size", "_built")
 
     def __init__(
         self,
@@ -236,6 +236,8 @@ class ForestTrees(Mapping[NodeId, RouteTree]):
         #: The forest's blocks in ascending destination order, each
         #: holding *size* destinations (the last one possibly fewer).
         self.blocks = tuple(blocks)
+        #: The flat graph whose dense indices the rows hold.
+        self.flat = flat
         self._ids = graph.nodes
         self._index = flat.index
         self._size = size

@@ -5,6 +5,7 @@ import pytest
 from repro.bgp.messages import RouteAdvertisement
 from repro.bgp.node import BGPNode
 from repro.bgp.policy import HopCountPolicy, LowestCostPolicy
+from repro.core.price_node import PriceComputingNode
 from repro.exceptions import ProtocolError
 
 
@@ -106,6 +107,29 @@ class TestDecide:
         assert 2 in changed
         assert node.route(2).node_costs[0] == 9.0
 
+    def test_full_decision_leaves_no_change_record(self):
+        node = PriceComputingNode(0, 1.0)
+        node.receive_table(
+            1,
+            [
+                advert(1, 1, (1,), 0.0),
+                advert(1, 9, (1, 9), 0.0),
+                advert(1, 0, (1, 0), 0.0),
+                advert(1, 7, (1, 0, 7), 1.0),
+            ],
+        )
+        node.receive_table(2, [advert(2, 2, (2,), 0.0), advert(2, 9, (2, 9), 0.0)])
+        node.decide()
+        # rows for a routed destination, for our own id and for a
+        # destination never routed (loop-suppressed) all disappear
+        node.receive_table(1, [advert(1, 1, (1,), 0.0)])
+        node.set_declared_cost(2.0)
+        node.drop_neighbor(2)
+        node.decide()
+        assert node.routes.keys() == {1}
+        for destination in (0, 1, 2, 7, 9):
+            assert node.rib_in.take_changes(destination) == set()
+
 
 class TestAdvertisements:
     def test_self_route_first(self):
@@ -144,3 +168,28 @@ class TestAdvertisements:
         node.receive_table(1, [advert(1, 2, (1, 2), 0.0)])
         node.decide()
         assert node.table_size_entries() == 6  # 3 path + 3 costs
+
+    def test_reading_the_table_leaves_the_publication_alone(self):
+        """advertisements() between a decision and the take changes no
+        publication delta, whatever the rows did in between."""
+        reader, twin = BGPNode(0, 1.0), BGPNode(0, 1.0)
+        messages = [
+            (1, [advert(1, 1, (1,), 0.0), advert(1, 9, (1, 9), 0.0)]),
+            (2, [advert(2, 2, (2,), 0.0), advert(2, 9, (2, 9), 0.0, {2: 0.5, 9: 1.0})]),
+            (2, [advert(2, 2, (2,), 0.0)]),
+            (1, []),
+        ]
+        for neighbor, table in messages:
+            for node in (reader, twin):
+                dirty = node.receive_table(neighbor, table)
+                node.decide(dirty)
+            before = reader.advertisements()
+            assert reader.publication_delta() == twin.publication_delta()
+            assert reader.advertisements() == before
+        reader.set_declared_cost(3.0)
+        twin.set_declared_cost(3.0)
+        for node in (reader, twin):
+            node.decide()
+        reader.advertisements()
+        assert reader.publication_delta() == twin.publication_delta()
+        assert reader.published_table() == twin.published_table()

@@ -149,6 +149,23 @@ class TestSeededCorruption:
         assert "_trees" in rpr008[0].message
         assert "warm_poke" in rpr008[0].message
 
+    def test_rpr008_publication_write_outside_the_take(self, corrupt_tree):
+        def inject(src):
+            anchor = "    def advertisements(self)"
+            i = src.index(anchor)
+            end_doc = src.index('"""', src.index('"""', i) + 3) + 3
+            return (
+                src[:end_doc]
+                + "\n        self._pub_baseline.clear()  # injected defect"
+                + src[end_doc:]
+            )
+
+        result = corrupt_tree("bgp/node.py", inject)
+        rpr008 = [f for f in result.findings if f.code == "RPR008"]
+        assert len(rpr008) == 1
+        assert "_pub_baseline" in rpr008[0].message
+        assert "advertisements" in rpr008[0].message
+
     def test_rpr009_drifted_engine_signature(self, corrupt_tree):
         def inject(src):
             old = (

@@ -19,6 +19,8 @@ automatically.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,6 +41,7 @@ from repro.graphs.generators import (
     uniform_costs,
 )
 from repro.mechanism.vcg import compute_price_table
+from repro.routing import flatsweep
 from repro.routing.allpairs import all_pairs_lcp
 from repro.routing.avoiding import avoiding_tree
 from repro.routing.engines import FlatEngine, FlatSweepStats, get_engine
@@ -222,6 +225,25 @@ class TestFlatPriceRows:
         routes = all_pairs_lcp(graph)
         expected = compute_price_table(graph).rows
         assert FlatEngine().price_table(graph, routes).rows == expected
+
+    def test_forest_routes_reuse_their_flat_graph(self):
+        """Pricing forest-built routes builds the flat graph once, in
+        the forest: demand inversion reuses the one its rows index."""
+        graph = isp_like_graph(40, seed=7, cost_sampler=uniform_costs(1.0, 6.0))
+        expected = compute_price_table(graph).rows
+        with mock.patch.object(
+            flatsweep, "build_flat_graph", side_effect=AssertionError("second build")
+        ):
+            tables = [
+                FlatEngine().price_table(graph).rows,
+                flat_price_arrays(graph).to_rows(),
+            ]
+        for actual in tables:
+            assert set(actual) == set(expected)
+            for pair in expected:
+                assert set(actual[pair]) == set(expected[pair])
+                for k in expected[pair]:
+                    assert costs_close(actual[pair][k], expected[pair][k])
 
     def test_demand_restriction_stats(self):
         graph = isp_like_graph(40, seed=6, cost_sampler=integer_costs(1, 6))
